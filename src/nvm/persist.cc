@@ -113,19 +113,35 @@ void Fence() {
 
 void CountFenceOnly() { LocalNvmCounters().fences++; }
 
-void AnnotateNvmRead(const void* p, size_t n) {
+namespace {
+
+// A demand read's charge: where it was accounted and how long its misses
+// stall a thread that waits for them one after another.
+struct ReadCharge {
+  NvmThreadCounters* counters = nullptr;
+  uint64_t stall_ns = 0;
+};
+
+// The one accounting path for demand reads of [p, p+n): modeled-cache hits
+// and misses, media and remote bytes, directory writes, and bandwidth
+// tokens. Returns the modeled stall without spinning it, so the callers
+// decide whether misses wait serially (AnnotateNvmRead) or overlap
+// (AnnotateNvmReadPair).
+ReadCharge AccountDemandRead(const void* p, size_t n) {
+  ReadCharge charge;
   if (n == 0) {
-    return;
+    return charge;
   }
   NvmRange range;
   if (!LookupNvmRange(p, &range)) {
-    return;
+    return charge;
   }
   const NvmConfig& cfg = GlobalNvmConfig();
   NvmDomain& dom = LocalNvmState().DomainFor(range.pool_id);
   NvmThreadCounters& c = dom.counters;
   MediaModel& m = dom.media;
   m.EnsureSized();
+  charge.counters = &c;
 
   bool remote = range.node != CurrentNumaNode();
   bool directory = cfg.coherence == CoherenceProtocol::kDirectory;
@@ -154,11 +170,10 @@ void AnnotateNvmRead(const void* p, size_t n) {
     if (cfg.emulate_latency) {
       // Sequential fetches ride the prefetchers (FH3 / GA5).
       uint64_t base = sequential ? cfg.seq_read_ns : cfg.read_miss_ns;
-      uint64_t ns = static_cast<uint64_t>(base * lat_mult);
+      charge.stall_ns += static_cast<uint64_t>(base * lat_mult);
       if (remote && directory) {
-        ns += cfg.directory_write_ns;
+        charge.stall_ns += cfg.directory_write_ns;
       }
-      SpinNs(ns);
     }
     if (cfg.emulate_bandwidth) {
       BandwidthModel::Instance().ConsumeRead(range.node, kXpLineSize);
@@ -169,6 +184,25 @@ void AnnotateNvmRead(const void* p, size_t n) {
       }
     }
   }
+  return charge;
+}
+
+void Stall(const ReadCharge& charge) {
+  if (charge.stall_ns == 0) {
+    return;
+  }
+  charge.counters->read_stall_ns += charge.stall_ns;
+  SpinNs(charge.stall_ns);
+}
+
+}  // namespace
+
+void AnnotateNvmRead(const void* p, size_t n) { Stall(AccountDemandRead(p, n)); }
+
+void AnnotateNvmReadPair(const void* a, size_t na, const void* b, size_t nb) {
+  ReadCharge ca = AccountDemandRead(a, na);
+  ReadCharge cb = AccountDemandRead(b, nb);
+  Stall(ca.stall_ns >= cb.stall_ns ? ca : cb);
 }
 
 void AnnotateNvmPrefetch(const void* p, size_t n) {

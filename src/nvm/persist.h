@@ -14,6 +14,14 @@
 // when it dereferences a node on NVM. A per-thread direct-mapped XPLine cache
 // models the CPU cache; only misses reach the media (and, for remote reads under
 // the directory protocol, also generate a media directory write -- finding FH5).
+// Every kind of read is charged the same media traffic; they differ only in
+// what the calling thread waits for:
+//   * demand read (AnnotateNvmRead): stalls for each miss in turn, the sum of
+//     the misses' latencies -- a load whose address depends on the previous one;
+//   * paired demand read (AnnotateNvmReadPair): two independent loads in flight
+//     at once (memory-level parallelism); stalls once, for the slower side;
+//   * prefetch (AnnotateNvmPrefetch): never stalls; the caller overlaps the
+//     fetch with other work before the demand read that then hits.
 #ifndef PACTREE_SRC_NVM_PERSIST_H_
 #define PACTREE_SRC_NVM_PERSIST_H_
 
@@ -45,6 +53,14 @@ inline void AtomicStorePersist(std::atomic<uint64_t>* word, uint64_t value,
 
 // Declares that the caller read [p, p+n) from NVM (media model + stats).
 void AnnotateNvmRead(const void* p, size_t n);
+
+// Declares two independent demand reads, [a, a+na) and [b, b+nb), issued
+// together: the second address must not depend on the first read's data. Each
+// range is accounted exactly as AnnotateNvmRead would account it (hits,
+// misses, media and remote bytes, directory writes, bandwidth), but the thread
+// stalls once, for the slower range, not for their sum. A pair where one side
+// hits therefore still waits for the other side's full miss.
+void AnnotateNvmReadPair(const void* a, size_t na, const void* b, size_t nb);
 
 // Declares a *software prefetch* of [p, p+n): issues the real
 // __builtin_prefetch per cache line and models an overlapped media fetch --

@@ -29,6 +29,7 @@ struct NvmStatsSnapshot {
   uint64_t remote_reads = 0;        // cross-NUMA XPLine fetches
   uint64_t remote_writes = 0;
   uint64_t directory_writes = 0;    // FH5: media writes caused by remote reads
+  uint64_t read_stall_ns = 0;       // modeled ns demand reads stalled the reader
   uint64_t alloc_ops = 0;           // persistent allocations (filled by pmem)
   uint64_t free_ops = 0;
   // Allocations served by a non-local sub-pool after the NUMA-local pool ran
@@ -49,6 +50,7 @@ struct NvmStatsSnapshot {
     d.remote_reads = remote_reads - o.remote_reads;
     d.remote_writes = remote_writes - o.remote_writes;
     d.directory_writes = directory_writes - o.directory_writes;
+    d.read_stall_ns = read_stall_ns - o.read_stall_ns;
     d.alloc_ops = alloc_ops - o.alloc_ops;
     d.free_ops = free_ops - o.free_ops;
     d.heap_remote_allocs = heap_remote_allocs - o.heap_remote_allocs;
@@ -66,6 +68,7 @@ struct NvmStatsSnapshot {
     remote_reads += o.remote_reads;
     remote_writes += o.remote_writes;
     directory_writes += o.directory_writes;
+    read_stall_ns += o.read_stall_ns;
     alloc_ops += o.alloc_ops;
     free_ops += o.free_ops;
     heap_remote_allocs += o.heap_remote_allocs;
@@ -103,6 +106,7 @@ struct NvmThreadCounters {
   RelaxedCounter remote_reads;
   RelaxedCounter remote_writes;
   RelaxedCounter directory_writes;
+  RelaxedCounter read_stall_ns;
   RelaxedCounter alloc_ops;
   RelaxedCounter free_ops;
 
@@ -117,6 +121,7 @@ struct NvmThreadCounters {
     s->remote_reads += remote_reads.load();
     s->remote_writes += remote_writes.load();
     s->directory_writes += directory_writes.load();
+    s->read_stall_ns += read_stall_ns.load();
     s->alloc_ops += alloc_ops.load();
     s->free_ops += free_ops.load();
   }

@@ -99,7 +99,7 @@ bool PacTree::AbsorbApply(const AbsorbOp* ops, size_t n) {
     uint64_t version;
     DataNode* node = FindDataNode(ops[i].key, &version);
     if (!node->lock.TryUpgrade(version)) {
-      stat_retries_.fetch_add(1, std::memory_order_relaxed);
+      ReadStats().retries.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     AnnotateNvmRead(node, node->NodeBytes());

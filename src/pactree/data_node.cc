@@ -134,7 +134,8 @@ bool DataNode::KeyEquals(int slot, const Key& key) const {
 // races with FillSlot on slots outside the live bitmap (or being recycled);
 // the caller's Validate() discards any observation made during a write.
 PACTREE_NO_TSAN
-int DataNode::FindKey(const Key& key, uint8_t fingerprint) const {
+int DataNode::FindKey(const Key& key, uint8_t fingerprint,
+                      bool will_read_value) const {
   uint64_t live = Bitmap();
   uint64_t candidates;
 #if defined(PACTREE_AVX2)
@@ -156,6 +157,15 @@ int DataNode::FindKey(const Key& key, uint8_t fingerprint) const {
   candidates &= live;
 #endif
   const bool is_compact = Format() == NodeFormat::kCompact;
+  // The candidate's key read; its value line's address is known as soon as
+  // the fingerprint matches, so a value-reading caller's load rides along.
+  auto read_key = [&](int i, const void* k, size_t n) {
+    if (will_read_value) {
+      AnnotateNvmReadPair(k, n, ValueSlot(i), sizeof(uint64_t));
+    } else {
+      AnnotateNvmRead(k, n);
+    }
+  };
   while (candidates != 0) {
     int i = __builtin_ctzll(candidates);
     if (is_compact) {
@@ -164,10 +174,10 @@ int DataNode::FindKey(const Key& key, uint8_t fingerprint) const {
       AnnotateNvmRead(&compact.kdesc[i], sizeof(uint32_t));
       DescFields f = DecodeDesc(LoadDesc(i));
       if (f.slen != 0) {
-        AnnotateNvmRead(&compact.arena[f.off], f.slen);
+        read_key(i, &compact.arena[f.off], f.slen);
       }
     } else {
-      AnnotateNvmRead(&classic.keys[i], sizeof(Key));
+      read_key(i, &classic.keys[i], sizeof(Key));
     }
     if (KeyEquals(i, key)) {
       return i;

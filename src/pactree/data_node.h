@@ -126,8 +126,17 @@ struct DataNode {
   uint64_t Bitmap() const;
   int CountLive() const;
 
-  // Slot of |key| (fingerprint-filtered full compare) or -1.
-  int FindKey(const Key& key, uint8_t fingerprint) const;
+  // Slot of |key| (fingerprint-filtered full compare) or -1. A caller that
+  // will read the matching slot's value passes |will_read_value|: each
+  // candidate's key read (classic: the Key line; compact: the arena suffix)
+  // is then issued as a paired demand read with that candidate's value line,
+  // so the probe waits once for both instead of the caller stalling on the
+  // value line after the compare (DESIGN.md §6j). The caller still performs
+  // its own value read after the compare; it hits the modeled cache. A
+  // compact candidate with an empty suffix has no key read to pair with, so
+  // its value stays the caller's plain demand read.
+  int FindKey(const Key& key, uint8_t fingerprint,
+              bool will_read_value = false) const;
 
   // First free slot or -1.
   int FindFreeSlot() const;

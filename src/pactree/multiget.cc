@@ -48,8 +48,9 @@ size_t PacTree::MultiGet(std::span<const Key> keys, uint64_t* values,
   if (n == 0) {
     return 0;
   }
-  stat_multiget_batches_.fetch_add(1, std::memory_order_relaxed);
-  stat_multiget_keys_.fetch_add(n, std::memory_order_relaxed);
+  ReadStatCell& rs = ReadStats();
+  rs.multiget_batches.fetch_add(1, std::memory_order_relaxed);
+  rs.multiget_keys.fetch_add(n, std::memory_order_relaxed);
 
   std::vector<Status> local_status;
   Status* st = statuses;
@@ -87,7 +88,7 @@ size_t PacTree::MultiGet(std::span<const Key> keys, uint64_t* values,
     return found;
   }
 
-  stat_epoch_enters_.fetch_add(1, std::memory_order_relaxed);
+  rs.epoch_enters.fetch_add(1, std::memory_order_relaxed);
   EpochGuard guard;
 
   // Sort the misses by key (ties by position, so duplicate keys resolve
@@ -148,7 +149,7 @@ size_t PacTree::MultiGet(std::span<const Key> keys, uint64_t* values,
       probe.resize(gend - g);
       for (size_t j = g; j < gend; ++j) {
         const Key& k = keys[miss[j]];
-        int slot = node->FindKey(k, k.Fingerprint());
+        int slot = node->FindKey(k, k.Fingerprint(), /*will_read_value=*/true);
         uint64_t v = 0;
         if (slot >= 0) {
           AnnotateNvmRead(node->ValueSlot(slot), sizeof(uint64_t));
@@ -157,11 +158,11 @@ size_t PacTree::MultiGet(std::span<const Key> keys, uint64_t* values,
         probe[j - g] = {v, slot >= 0};
       }
       if (!node->lock.Validate(version)) {
-        stat_multiget_group_retries_.fetch_add(1, std::memory_order_relaxed);
-        stat_retries_.fetch_add(1, std::memory_order_relaxed);
+        rs.multiget_group_retries.fetch_add(1, std::memory_order_relaxed);
+        rs.retries.fetch_add(1, std::memory_order_relaxed);
         continue;  // re-walk this group; JumpWalk absorbs any relink
       }
-      stat_multiget_node_groups_.fetch_add(1, std::memory_order_relaxed);
+      rs.multiget_node_groups.fetch_add(1, std::memory_order_relaxed);
       for (size_t j = g; j < gend; ++j) {
         size_t i = miss[j];
         if (probe[j - g].hit) {
@@ -206,7 +207,8 @@ void PacTree::MultiScan(std::span<const Key> starts, std::span<const size_t> cou
   if (n == 0) {
     return;
   }
-  stat_multiscan_batches_.fetch_add(1, std::memory_order_relaxed);
+  ReadStatCell& rs = ReadStats();
+  rs.multiscan_batches.fetch_add(1, std::memory_order_relaxed);
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(), [&starts](size_t a, size_t b) {
@@ -231,7 +233,7 @@ void PacTree::MultiScan(std::span<const Key> starts, std::span<const size_t> cou
     want[r] = counts[r] + StagedTombstonesFrom(pending, starts[r]);
   }
 
-  stat_epoch_enters_.fetch_add(1, std::memory_order_relaxed);
+  rs.epoch_enters.fetch_add(1, std::memory_order_relaxed);
   EpochGuard guard;
 
   std::vector<std::vector<std::pair<Key, uint64_t>>> base(n);
@@ -266,7 +268,7 @@ void PacTree::MultiScan(std::span<const Key> starts, std::span<const size_t> cou
       if (node->lock.Validate(version)) {
         break;
       }
-      stat_retries_.fetch_add(1, std::memory_order_relaxed);
+      rs.retries.fetch_add(1, std::memory_order_relaxed);
       node = FindDataNode(cursor, &version);
     }
     if (has_next) {
@@ -325,13 +327,13 @@ void PacTree::MultiScan(std::span<const Key> starts, std::span<const size_t> cou
     node = PPtr<DataNode>(next_raw).get();
     cursor = node->anchor;
     version = node->lock.ReadLock();
-    stat_node_locks_.fetch_add(1, std::memory_order_relaxed);
+    rs.node_locks.fetch_add(1, std::memory_order_relaxed);
     if (node->IsDeleted()) {
       node = FindDataNode(cursor, &version);
     }
   }
-  stat_multiscan_shared_nodes_.fetch_add(shared_nodes, std::memory_order_relaxed);
-  stat_multiscan_walks_saved_.fetch_add(walks_saved, std::memory_order_relaxed);
+  rs.multiscan_shared_nodes.fetch_add(shared_nodes, std::memory_order_relaxed);
+  rs.multiscan_walks_saved.fetch_add(walks_saved, std::memory_order_relaxed);
 
   for (size_t r = 0; r < n; ++r) {
     if (absorb_ != nullptr) {

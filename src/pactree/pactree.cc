@@ -372,10 +372,11 @@ DataNode* PacTree::FindDataNode(const Key& key, uint64_t* version) const {
 
 DataNode* PacTree::JumpWalk(DataNode* start, const Key& key, uint64_t* version) const {
   DataNode* node = start != nullptr ? start : PPtr<DataNode>(root_->head_raw).get();
+  ReadStatCell& rs = ReadStats();
   uint32_t hops = 0;
   while (true) {
     uint64_t v = node->lock.ReadLock();
-    stat_node_locks_.fetch_add(1, std::memory_order_relaxed);
+    rs.node_locks.fetch_add(1, std::memory_order_relaxed);
     // For compact nodes, pull the descriptor XPLine concurrently with the
     // probe-span demand miss below: every key materialization needs a
     // descriptor before it can touch the arena, and fetching it here hides
@@ -414,7 +415,7 @@ DataNode* PacTree::JumpWalk(DataNode* start, const Key& key, uint64_t* version) 
       continue;
     }
     int bucket = hops < kHopHistBuckets - 1 ? static_cast<int>(hops) : kHopHistBuckets - 1;
-    stat_hops_[bucket].fetch_add(1, std::memory_order_relaxed);
+    rs.hops[bucket].fetch_add(1, std::memory_order_relaxed);
     *version = v;
     return node;
   }
@@ -445,20 +446,20 @@ Status PacTree::Lookup(const Key& key, uint64_t* value) const {
 }
 
 Status PacTree::LookupBase(const Key& key, uint64_t* value) const {
-  stat_epoch_enters_.fetch_add(1, std::memory_order_relaxed);
+  ReadStats().epoch_enters.fetch_add(1, std::memory_order_relaxed);
   EpochGuard guard;
   uint8_t fingerprint = key.Fingerprint();
   while (true) {
     uint64_t version;
     DataNode* node = FindDataNode(key, &version);
-    int slot = node->FindKey(key, fingerprint);
+    int slot = node->FindKey(key, fingerprint, /*will_read_value=*/true);
     uint64_t v = 0;
     if (slot >= 0) {
       AnnotateNvmRead(node->ValueSlot(slot), sizeof(uint64_t));
       v = node->ValueAt(slot);
     }
     if (!node->lock.Validate(version)) {
-      stat_retries_.fetch_add(1, std::memory_order_relaxed);
+      ReadStats().retries.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     if (slot < 0) {
@@ -496,7 +497,7 @@ Status PacTree::Insert(const Key& key, uint64_t value) {
     uint64_t version;
     DataNode* node = FindDataNode(key, &version);
     if (!node->lock.TryUpgrade(version)) {
-      stat_retries_.fetch_add(1, std::memory_order_relaxed);
+      ReadStats().retries.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     int existing = node->FindKey(key, fingerprint);
@@ -543,13 +544,13 @@ Status PacTree::Update(const Key& key, uint64_t value) {
     int existing = node->FindKey(key, fingerprint);
     if (existing < 0) {
       if (!node->lock.Validate(version)) {
-        stat_retries_.fetch_add(1, std::memory_order_relaxed);
+        ReadStats().retries.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       return Status::kNotFound;
     }
     if (!node->lock.TryUpgrade(version)) {
-      stat_retries_.fetch_add(1, std::memory_order_relaxed);
+      ReadStats().retries.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     existing = node->FindKey(key, fingerprint);
@@ -600,13 +601,13 @@ Status PacTree::Remove(const Key& key) {
     int slot = node->FindKey(key, fingerprint);
     if (slot < 0) {
       if (!node->lock.Validate(version)) {
-        stat_retries_.fetch_add(1, std::memory_order_relaxed);
+        ReadStats().retries.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       return Status::kNotFound;
     }
     if (!node->lock.TryUpgrade(version)) {
-      stat_retries_.fetch_add(1, std::memory_order_relaxed);
+      ReadStats().retries.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     slot = node->FindKey(key, fingerprint);
@@ -949,7 +950,8 @@ int PacTree::SortedOrderSnapshot(DataNode* node, uint64_t version,
 
 size_t PacTree::ScanBase(const Key& start, size_t count,
                          std::vector<std::pair<Key, uint64_t>>* out) const {
-  stat_epoch_enters_.fetch_add(1, std::memory_order_relaxed);
+  ReadStatCell& rs = ReadStats();
+  rs.epoch_enters.fetch_add(1, std::memory_order_relaxed);
   EpochGuard guard;
   out->clear();
   Key cursor = start;  // smallest key still wanted
@@ -977,7 +979,7 @@ size_t PacTree::ScanBase(const Key& start, size_t count,
         break;
       }
       // Concurrent writer (or merge) hit this node: re-locate the cursor.
-      stat_retries_.fetch_add(1, std::memory_order_relaxed);
+      rs.retries.fetch_add(1, std::memory_order_relaxed);
       node = FindDataNode(cursor, &version);
     }
     if (next_raw != 0) {
@@ -995,7 +997,7 @@ size_t PacTree::ScanBase(const Key& start, size_t count,
     node = PPtr<DataNode>(next_raw).get();
     cursor = node->anchor;  // anchors are immutable
     version = node->lock.ReadLock();
-    stat_node_locks_.fetch_add(1, std::memory_order_relaxed);
+    rs.node_locks.fetch_add(1, std::memory_order_relaxed);
     if (node->IsDeleted()) {
       node = FindDataNode(cursor, &version);
     }
@@ -1141,25 +1143,25 @@ PacTreeStats PacTree::Stats() const {
   s.merges = stat_merges_.load(std::memory_order_relaxed);
   s.smo_applied = updater_->applied();
   s.smo_ring_full_waits = updater_->ring_full_waits();
-  for (int i = 0; i < kHopHistBuckets; ++i) {
-    s.hop_hist[i] = stat_hops_[i].load(std::memory_order_relaxed);
+  for (const ReadStatCell& c : read_stats_) {
+    for (int i = 0; i < kHopHistBuckets; ++i) {
+      s.hop_hist[i] += c.hops[i].load(std::memory_order_relaxed);
+    }
+    s.retries += c.retries.load(std::memory_order_relaxed);
+    s.epoch_enters += c.epoch_enters.load(std::memory_order_relaxed);
+    s.node_locks += c.node_locks.load(std::memory_order_relaxed);
+    s.multiget_batches += c.multiget_batches.load(std::memory_order_relaxed);
+    s.multiget_keys += c.multiget_keys.load(std::memory_order_relaxed);
+    s.multiget_node_groups += c.multiget_node_groups.load(std::memory_order_relaxed);
+    s.multiget_group_retries += c.multiget_group_retries.load(std::memory_order_relaxed);
+    s.multiscan_batches += c.multiscan_batches.load(std::memory_order_relaxed);
+    s.multiscan_shared_nodes += c.multiscan_shared_nodes.load(std::memory_order_relaxed);
+    s.multiscan_walks_saved += c.multiscan_walks_saved.load(std::memory_order_relaxed);
   }
   // Legacy 4-bucket view (0, 1, 2, >=3) derived from the full histogram.
   for (int i = 0; i < kHopHistBuckets; ++i) {
     s.jump_hops[i < 3 ? i : 3] += s.hop_hist[i];
   }
-  s.retries = stat_retries_.load(std::memory_order_relaxed);
-  s.epoch_enters = stat_epoch_enters_.load(std::memory_order_relaxed);
-  s.node_locks = stat_node_locks_.load(std::memory_order_relaxed);
-  s.multiget_batches = stat_multiget_batches_.load(std::memory_order_relaxed);
-  s.multiget_keys = stat_multiget_keys_.load(std::memory_order_relaxed);
-  s.multiget_node_groups = stat_multiget_node_groups_.load(std::memory_order_relaxed);
-  s.multiget_group_retries = stat_multiget_group_retries_.load(std::memory_order_relaxed);
-  s.multiscan_batches = stat_multiscan_batches_.load(std::memory_order_relaxed);
-  s.multiscan_shared_nodes =
-      stat_multiscan_shared_nodes_.load(std::memory_order_relaxed);
-  s.multiscan_walks_saved =
-      stat_multiscan_walks_saved_.load(std::memory_order_relaxed);
   s.node_format = opts_.node_format;
   s.arena_compactions = stat_arena_compactions_.load(std::memory_order_relaxed);
   if (absorb_ != nullptr) {

@@ -35,6 +35,7 @@
 #include "src/pactree/smo_log.h"
 #include "src/pactree/updater.h"
 #include "src/pmem/heap.h"
+#include "src/runtime/thread_context.h"
 #include "src/value/lru_cache.h"
 #include "src/value/value_storage.h"
 
@@ -428,19 +429,33 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // can CheckInvariants demand an exact trie<->data-layer mirror.
   bool search_layer_exact_ = true;
 
+  // Read-path counters (every Lookup, Scan, and batch bumps them), kept off
+  // shared lines: one 64-B-aligned cell per thread slot, picked by the
+  // calling thread's tid modulo kReadStatCells. Relaxed fetch_add keeps the
+  // totals exact when two threads share a cell; Stats() sums the cells. The
+  // cells belong to the tree, so counts never bleed across instances and
+  // need no fold at thread exit.
+  struct alignas(64) ReadStatCell {
+    std::atomic<uint64_t> epoch_enters{0};
+    std::atomic<uint64_t> node_locks{0};
+    std::atomic<uint64_t> retries{0};
+    std::atomic<uint64_t> hops[kHopHistBuckets] = {};
+    std::atomic<uint64_t> multiget_batches{0};
+    std::atomic<uint64_t> multiget_keys{0};
+    std::atomic<uint64_t> multiget_node_groups{0};
+    std::atomic<uint64_t> multiget_group_retries{0};
+    std::atomic<uint64_t> multiscan_batches{0};
+    std::atomic<uint64_t> multiscan_shared_nodes{0};
+    std::atomic<uint64_t> multiscan_walks_saved{0};
+  };
+  static constexpr size_t kReadStatCells = 64;
+  ReadStatCell& ReadStats() const {
+    return read_stats_[ThreadContext::Current().tid() % kReadStatCells];
+  }
+  mutable ReadStatCell read_stats_[kReadStatCells];
+
   mutable std::atomic<uint64_t> stat_splits_{0};
   mutable std::atomic<uint64_t> stat_merges_{0};
-  mutable std::atomic<uint64_t> stat_hops_[kHopHistBuckets] = {};
-  mutable std::atomic<uint64_t> stat_retries_{0};
-  mutable std::atomic<uint64_t> stat_epoch_enters_{0};
-  mutable std::atomic<uint64_t> stat_node_locks_{0};
-  mutable std::atomic<uint64_t> stat_multiget_batches_{0};
-  mutable std::atomic<uint64_t> stat_multiget_keys_{0};
-  mutable std::atomic<uint64_t> stat_multiget_node_groups_{0};
-  mutable std::atomic<uint64_t> stat_multiget_group_retries_{0};
-  mutable std::atomic<uint64_t> stat_multiscan_batches_{0};
-  mutable std::atomic<uint64_t> stat_multiscan_shared_nodes_{0};
-  mutable std::atomic<uint64_t> stat_multiscan_walks_saved_{0};
   std::atomic<uint64_t> stat_arena_compactions_{0};
   mutable std::atomic<uint64_t> stat_write_rejects_{0};
   mutable std::atomic<uint64_t> stat_split_alloc_failures_{0};

@@ -99,7 +99,7 @@ Status PacTree::LookupValue(const Key& key, std::string* value) const {
     // Checksum/key mismatch under the guard should be impossible for a
     // handle read through the index (see above); treat it as a racing
     // relocation observed through a stale intermediary and re-resolve.
-    stat_retries_.fetch_add(1, std::memory_order_relaxed);
+    ReadStats().retries.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::kRetry;
 }
@@ -231,13 +231,13 @@ bool PacTree::CasValueBase(const Key& key, uint64_t old_handle,
     int existing = node->FindKey(key, fingerprint);
     if (existing < 0 || node->ValueAt(existing) != old_handle) {
       if (!node->lock.Validate(version)) {
-        stat_retries_.fetch_add(1, std::memory_order_relaxed);
+        ReadStats().retries.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       return false;  // key gone or already re-pointed: comparison failed
     }
     if (!node->lock.TryUpgrade(version)) {
-      stat_retries_.fetch_add(1, std::memory_order_relaxed);
+      ReadStats().retries.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     existing = node->FindKey(key, fingerprint);

@@ -387,12 +387,16 @@ TEST_F(AbsorbAsyncTest, ScanExactWhileDrainsProgress) {
   }
   // No writers from here on: every scan below must see exactly [0, kN),
   // whether an op is still staged, mid-drain, or applied.
+  // The drain starts only once the scanner runs, and the scanner completes at
+  // least one scan, so scans really overlap the drain.
   std::atomic<bool> stop{false};
+  std::atomic<bool> scanner_started{false};
   std::thread scanner([&] {
     SetCurrentNumaNode(0);
     Rng rng(5);
     std::vector<std::pair<Key, uint64_t>> out;
-    while (!stop.load(std::memory_order_relaxed)) {
+    scanner_started.store(true, std::memory_order_release);
+    do {
       uint64_t start = rng.Uniform(kN);
       size_t count = 1 + rng.Uniform(200);
       size_t n = tree_->Scan(Key::FromInt(start), count, &out);
@@ -402,8 +406,11 @@ TEST_F(AbsorbAsyncTest, ScanExactWhileDrainsProgress) {
         ASSERT_EQ(out[i].first.ToInt(), start + i);
         ASSERT_EQ(out[i].second, (start + i) * 2);
       }
-    }
+    } while (!stop.load(std::memory_order_relaxed));
   });
+  while (!scanner_started.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
   tree_->DrainAbsorb();  // drains progress under the scanner's feet
   stop.store(true, std::memory_order_relaxed);
   scanner.join();

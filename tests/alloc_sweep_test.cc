@@ -658,12 +658,17 @@ TEST_F(AllocSweepTest, FullPoolDegradedModeServesReads) {
   EXPECT_GE(st.alloc_failures, 1u);
   EXPECT_GE(st.used_fraction, o.pressure_hard);
 
-  // Writes fail fast while concurrent lookups and scans keep serving.
+  // Writes fail fast while concurrent lookups and scans keep serving. The
+  // rejected writes start only once the reader is running, and the reader
+  // completes at least one iteration even if |stop| is already set, so the
+  // degraded-mode reads are guaranteed to have run.
   std::atomic<bool> stop{false};
+  std::atomic<bool> reader_started{false};
   std::atomic<uint64_t> read_oks{0};
   std::thread reader([&] {
     std::vector<std::pair<Key, uint64_t>> out;
-    while (!stop.load(std::memory_order_relaxed)) {
+    reader_started.store(true, std::memory_order_release);
+    do {
       uint64_t v = 0;
       if (tree->Lookup(Key::FromInt(1), &v) == Status::kOk && v == 1) {
         read_oks.fetch_add(1, std::memory_order_relaxed);
@@ -671,8 +676,11 @@ TEST_F(AllocSweepTest, FullPoolDegradedModeServesReads) {
       if (tree->Scan(Key::FromInt(1), 16, &out) == 16) {
         read_oks.fetch_add(1, std::memory_order_relaxed);
       }
-    }
+    } while (!stop.load(std::memory_order_relaxed));
   });
+  while (!reader_started.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
   for (uint64_t i = 0; i < 64; ++i) {
     EXPECT_EQ(tree->Insert(Key::FromInt(inserted + 7 + i), 1), Status::kFull);
     EXPECT_EQ(tree->Update(Key::FromInt(1), 2), Status::kFull);

@@ -10,6 +10,8 @@
 
 #include "src/common/random.h"
 #include "src/nvm/config.h"
+#include "src/nvm/persist.h"
+#include "src/nvm/stats.h"
 #include "src/nvm/topology.h"
 #include "src/pmem/heap.h"
 
@@ -136,6 +138,62 @@ TEST_P(DataNodeTest, FingerprintFilterNeverMissesAndRarelyLies) {
       }
       Key k = Key::FromInt(kv);
       ASSERT_EQ(node_->FindKey(k, k.Fingerprint()), -1);
+    }
+  }
+}
+
+// FindKey with the value-read flag pairs each candidate's key read with its
+// value line. It must find exactly the slot the plain probe finds, and for a
+// found key cost no more media bytes than the plain probe followed by the
+// caller's own value read.
+TEST_P(DataNodeTest, ValueReadingProbeMatchesPlainProbe) {
+  const Key anchor = Key::FromInt(1000);
+  struct Probe {
+    int slot;
+    uint64_t media_read_bytes;
+  };
+  auto probe = [&](const Key& k, uint8_t fp, bool will_read_value) {
+    DropThreadReadCache();
+    NvmStatsSnapshot before = GlobalNvmStats();
+    int slot = node_->FindKey(k, fp, will_read_value);
+    if (slot >= 0) {
+      AnnotateNvmRead(node_->ValueSlot(slot), sizeof(uint64_t));
+    }
+    return Probe{slot, (GlobalNvmStats() - before).media_read_bytes};
+  };
+  // |collide|: every slot carries one fingerprint, so each probe walks every
+  // earlier candidate's key (and, flagged, value) before its match. Otherwise
+  // fingerprints are distinct and a probe has no false candidate.
+  for (bool collide : {true, false}) {
+    SCOPED_TRACE(collide ? "forced collision" : "distinct fingerprints");
+    ResetNode(anchor);
+    const int n = 48;
+    std::vector<Key> keys;
+    for (int i = 0; i < n; ++i) {
+      // Slot 0 holds the anchor itself: a compact empty-suffix key.
+      keys.push_back(Key::FromInt(1000 + 37 * static_cast<uint64_t>(i)));
+      node_->FillSlot(i, keys[i], collide ? 0x5a : static_cast<uint8_t>(i + 1),
+                      i * 10);
+    }
+    node_->PublishBitmap((1ULL << n) - 1);
+    for (int i = 0; i < n; ++i) {
+      const uint8_t fp = collide ? 0x5a : static_cast<uint8_t>(i + 1);
+      Probe plain = probe(keys[i], fp, false);
+      Probe paired = probe(keys[i], fp, true);
+      ASSERT_EQ(plain.slot, i);
+      ASSERT_EQ(paired.slot, i);
+      EXPECT_EQ(node_->ValueAt(paired.slot), static_cast<uint64_t>(i) * 10);
+      if (!collide) {
+        EXPECT_LE(paired.media_read_bytes, plain.media_read_bytes) << "slot " << i;
+      }
+    }
+    // Absent keys, including one whose fingerprint collides with every slot.
+    for (uint64_t kv : {1001ULL, 999ULL, 5000ULL}) {
+      Key k = Key::FromInt(kv);
+      for (uint8_t fp : {k.Fingerprint(), uint8_t{0x5a}}) {
+        EXPECT_EQ(probe(k, fp, false).slot, -1);
+        EXPECT_EQ(probe(k, fp, true).slot, -1);
+      }
     }
   }
 }

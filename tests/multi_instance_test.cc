@@ -194,6 +194,78 @@ TEST_F(MultiInstanceTest, TwoTreesOperateIndependently) {
   PacTree::Destroy("mi_t2");
 }
 
+// The read-path counters live in per-tree cells indexed by thread: concurrent
+// lookups on one tree must add up exactly, and leave an idle tree's counters
+// in the same process untouched.
+TEST_F(MultiInstanceTest, ReadCountersAreExactPerTree) {
+  PacTree::Destroy("mi_ca");
+  PacTree::Destroy("mi_cb");
+  PacTreeOptions oa;
+  oa.name = "mi_ca";
+  oa.pool_id_base = 210;
+  oa.pool_size = 64 << 20;
+  PacTreeOptions ob = oa;
+  ob.name = "mi_cb";
+  ob.pool_id_base = 240;
+  auto a = PacTree::Open(oa);
+  auto b = PacTree::Open(ob);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  constexpr uint64_t kKeys = 20000;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(a->Insert(Key::FromInt(i), i + 1), Status::kOk);
+    ASSERT_EQ(b->Insert(Key::FromInt(i), i + 1), Status::kOk);
+  }
+  // No writer runs from here on: every lookup takes one epoch, one node lock
+  // and lands in one hop bucket, with no retry.
+  a->DrainAbsorb();
+  a->DrainSmoLogs();
+  b->DrainAbsorb();
+  b->DrainSmoLogs();
+
+  auto hop_sum = [](const PacTreeStats& s) {
+    uint64_t n = 0;
+    for (uint64_t h : s.hop_hist) {
+      n += h;
+    }
+    return n;
+  };
+  const PacTreeStats a0 = a->Stats();
+  const PacTreeStats b0 = b->Stats();
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 5000;
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        uint64_t k = (i * 131 + static_cast<uint64_t>(w) * 7919) % kKeys;
+        uint64_t v = 0;
+        ASSERT_EQ(a->Lookup(Key::FromInt(k), &v), Status::kOk);
+        ASSERT_EQ(v, k + 1);
+      }
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+  const PacTreeStats a1 = a->Stats();
+  const PacTreeStats b1 = b->Stats();
+  const uint64_t lookups = kThreads * kPerThread;
+  EXPECT_EQ(a1.epoch_enters - a0.epoch_enters, lookups);
+  EXPECT_EQ(a1.node_locks - a0.node_locks, lookups);
+  EXPECT_EQ(hop_sum(a1) - hop_sum(a0), lookups);
+  EXPECT_EQ(a1.retries, a0.retries);
+  EXPECT_EQ(b1.epoch_enters, b0.epoch_enters);
+  EXPECT_EQ(b1.node_locks, b0.node_locks);
+  EXPECT_EQ(hop_sum(b1), hop_sum(b0));
+
+  a.reset();
+  b.reset();
+  EpochManager::Instance().DrainAll();
+  PacTree::Destroy("mi_ca");
+  PacTree::Destroy("mi_cb");
+}
+
 // ShadowHeap staged lines are per thread: lines flushed by a thread that
 // exits without fencing die with it (like WPQ contents on a lost CPU) and
 // never commit into the crash image, not even when another thread fences.

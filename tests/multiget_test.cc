@@ -283,7 +283,10 @@ TEST_F(MultiGetTest, ConcurrentWritersAndForcedDrains) {
   }
   tree_->DrainAbsorb();
   tree_->DrainSmoLogs();
+  // Readers start only once both writers run, and each writer completes at
+  // least one insert, so the batches really race the writes.
   std::atomic<bool> stop{false};
+  std::atomic<int> writers_started{0};
   std::atomic<uint64_t> failures{0};
   std::vector<std::thread> threads;
   for (int w = 0; w < 2; ++w) {
@@ -291,15 +294,19 @@ TEST_F(MultiGetTest, ConcurrentWritersAndForcedDrains) {
       SetCurrentNumaNode(0);
       Rng rng(17 * w + 5);
       uint64_t round = 0;
-      while (!stop.load(std::memory_order_acquire)) {
+      writers_started.fetch_add(1, std::memory_order_release);
+      do {
         uint64_t k = stable + rng.Uniform(volat);
         tree_->Insert(Key::FromInt(k), ++round);
         if (round % 256 == 0) {
           tree_->DrainAbsorb();
           tree_->DrainSmoLogs();
         }
-      }
+      } while (!stop.load(std::memory_order_acquire));
     });
+  }
+  while (writers_started.load(std::memory_order_acquire) < 2) {
+    std::this_thread::yield();
   }
   for (int r = 0; r < 2; ++r) {
     threads.emplace_back([&, r] {

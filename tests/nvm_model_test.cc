@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <initializer_list>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -136,6 +137,104 @@ TEST_F(NvmModelTest, RemoteAccessCountsAgainstOtherNode) {
   AnnotateNvmRead(static_cast<char*>(f.base()) + 4096, 1024);
   d = GlobalNvmStats() - before;
   EXPECT_EQ(d.remote_reads, 0u);
+  f.Close();
+  NvmPoolFile::Remove(path);
+}
+
+// Everything a read is charged except the stall it costs.
+void ExpectSameTraffic(const NvmStatsSnapshot& a, const NvmStatsSnapshot& b) {
+  EXPECT_EQ(a.read_hits, b.read_hits);
+  EXPECT_EQ(a.read_misses, b.read_misses);
+  EXPECT_EQ(a.read_prefetches, b.read_prefetches);
+  EXPECT_EQ(a.media_read_bytes, b.media_read_bytes);
+  EXPECT_EQ(a.media_write_bytes, b.media_write_bytes);
+  EXPECT_EQ(a.remote_reads, b.remote_reads);
+  EXPECT_EQ(a.directory_writes, b.directory_writes);
+}
+
+TEST_F(NvmModelTest, ReadPairAccountsLikeTwoReads) {
+  NvmConfig& cfg = GlobalNvmConfig();
+  cfg.numa_nodes = 2;
+  cfg.coherence = CoherenceProtocol::kDirectory;  // remote misses write media
+  std::string path = NvmConfig::DefaultPoolDir() + "/nvm_model_pair.pool";
+  NvmPoolFile f;
+  ASSERT_TRUE(f.Create(path, 1 << 20, /*node=*/1, 7));
+  char* base = static_cast<char*>(f.base());
+  // |a| straddles two XPLines; |b| is one 8-B word further into the pool.
+  const char* a = base + 256 + 240;
+  const char* b = base + 8192 + 16;
+  for (uint32_t node : {0u, 1u}) {  // remote, then local
+    SetCurrentNumaNode(node);
+    for (bool warm_a : {false, true}) {
+      DropThreadReadCache();
+      if (warm_a) {
+        AnnotateNvmRead(a, 36);
+      }
+      NvmStatsSnapshot before = PoolNvmStats(7);
+      AnnotateNvmRead(a, 36);
+      AnnotateNvmRead(b, 8);
+      NvmStatsSnapshot two = PoolNvmStats(7) - before;
+
+      DropThreadReadCache();
+      if (warm_a) {
+        AnnotateNvmRead(a, 36);
+      }
+      before = PoolNvmStats(7);
+      AnnotateNvmReadPair(a, 36, b, 8);
+      NvmStatsSnapshot pair = PoolNvmStats(7) - before;
+
+      SCOPED_TRACE(testing::Message() << "node=" << node << " warm_a=" << warm_a);
+      ExpectSameTraffic(pair, two);
+      EXPECT_EQ(pair.read_misses, warm_a ? 1u : 3u);
+      EXPECT_EQ(pair.read_hits, warm_a ? 2u : 0u);
+      EXPECT_EQ(pair.remote_reads, node == 0 ? pair.read_misses : 0u);
+      EXPECT_EQ(pair.read_stall_ns, 0u) << "latency emulation is off";
+    }
+  }
+  f.Close();
+  NvmPoolFile::Remove(path);
+}
+
+TEST_F(NvmModelTest, ReadPairStallsForTheSlowerSide) {
+  NvmConfig& cfg = GlobalNvmConfig();
+  cfg.emulate_latency = true;
+  cfg.read_miss_ns = 400;
+  std::string path = NvmConfig::DefaultPoolDir() + "/nvm_model_pair_lat.pool";
+  NvmPoolFile f;
+  ASSERT_TRUE(f.Create(path, 1 << 20, /*node=*/0, 8));
+  char* base = static_cast<char*>(f.base());
+  const char* a = base + 4096;
+  const char* b = base + 16384;
+  const char* wide = base + 65536;
+  // Modeled stall of |reads| after demand-reading |warm| into the cache.
+  auto stall = [](std::initializer_list<const char*> warm, auto&& reads) {
+    DropThreadReadCache();
+    for (const char* p : warm) {
+      AnnotateNvmRead(p, 8);
+    }
+    NvmStatsSnapshot before = PoolNvmStats(8);
+    reads();
+    return (PoolNvmStats(8) - before).read_stall_ns;
+  };
+  auto pair = [&] { AnnotateNvmReadPair(a, 8, b, 8); };
+
+  // Two misses issued one after another wait for both...
+  EXPECT_EQ(stall({}, [&] {
+              AnnotateNvmRead(a, 8);
+              AnnotateNvmRead(b, 8);
+            }),
+            800u);
+  // ...issued as a pair they overlap: one miss latency, not the sum.
+  EXPECT_EQ(stall({}, pair), 400u);
+  // A hit on one side overlaps nothing: the other side's full miss remains.
+  EXPECT_EQ(stall({a}, pair), 400u);
+  EXPECT_EQ(stall({b}, pair), 400u);
+  // Both sides hit: no stall at all.
+  EXPECT_EQ(stall({a, b}, pair), 0u);
+  // The max is taken over each side's own modeled stall: a side spanning two
+  // XPLines (one random miss, then one sequential) outweighs a one-miss side.
+  EXPECT_EQ(stall({}, [&] { AnnotateNvmReadPair(wide, 512, b, 8); }),
+            uint64_t{cfg.read_miss_ns} + cfg.seq_read_ns);
   f.Close();
   NvmPoolFile::Remove(path);
 }
