@@ -714,33 +714,45 @@ bool PdlArt::RemoveAttempt(const Key& key, Status* result) {
 // ---------------------------------------------------------------------------
 
 bool PdlArt::SubtreeMax(uint64_t raw, Key* found, uint64_t* value, bool* ok) const {
-  // Returns false on concurrency restart; *ok=false when the subtree is empty.
-  for (int hops = 0; hops < 64; ++hops) {
-    if (ArtIsLeaf(raw)) {
-      ArtLeaf* leaf = LeafOf(raw);
-      AnnotateLeafVisit(leaf);
-      *found = leaf->key;
-      if (value != nullptr) {
-        *value = std::atomic_ref<uint64_t>(leaf->value).load(std::memory_order_acquire);
-      }
-      *ok = true;
-      return true;
+  // Returns false on concurrency restart; *ok=false when the subtree holds no
+  // leaf. Removes leave emptied inner nodes in place, so a child that turns
+  // out empty sends the search on to the next smaller child.
+  if (ArtIsLeaf(raw)) {
+    ArtLeaf* leaf = LeafOf(raw);
+    AnnotateLeafVisit(leaf);
+    *found = leaf->key;
+    if (value != nullptr) {
+      *value = std::atomic_ref<uint64_t>(leaf->value).load(std::memory_order_acquire);
     }
-    ArtNode* node = NodeOf(raw);
-    uint64_t version = node->lock.ReadLock();
-    AnnotateNodeVisit(node);
+    *ok = true;
+    return true;
+  }
+  ArtNode* node = NodeOf(raw);
+  uint64_t version = node->lock.ReadLock();
+  AnnotateNodeVisit(node);
+  return MaxBelow(node, version, 256, found, value, ok);
+}
+
+bool PdlArt::MaxBelow(const ArtNode* node, uint64_t version, int below,
+                      Key* found, uint64_t* value, bool* ok) const {
+  *ok = false;
+  while (true) {
     uint8_t byte;
-    uint64_t child = ArtMaxChild(node, &byte);
+    uint64_t child = ArtMaxChildBelow(node, below, &byte);
     if (!node->lock.Validate(version)) {
       return false;
     }
     if (child == 0) {
-      *ok = false;
       return true;
     }
-    raw = child;
+    if (!SubtreeMax(child, found, value, ok)) {
+      return false;
+    }
+    if (*ok) {
+      return true;
+    }
+    below = byte;
   }
-  return false;
 }
 
 Status PdlArt::LookupFloor(const Key& key, Key* found, uint64_t* value) const {
@@ -888,21 +900,14 @@ bool PdlArt::FloorAttempt(const Key& key, Key* found, uint64_t* value,
 
   // Phase 2: walk the recorded path upward looking for a smaller branch.
   for (int i = top - 1; i >= 0; --i) {
-    Frame& f = stack[i];
-    uint8_t byte;
-    uint64_t left = ArtMaxChildBelow(f.node, f.byte, &byte);
-    if (!f.node->lock.Validate(f.version)) {
+    const Frame& f = stack[i];
+    bool ok = false;
+    if (!MaxBelow(f.node, f.version, f.byte, found, value, &ok)) {
       return false;
     }
-    if (left != 0) {
-      bool ok = false;
-      if (!SubtreeMax(left, found, value, &ok)) {
-        return false;
-      }
-      if (ok) {
-        *result = Status::kOk;
-        return true;
-      }
+    if (ok) {
+      *result = Status::kOk;
+      return true;
     }
   }
   *result = Status::kNotFound;

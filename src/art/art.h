@@ -145,6 +145,10 @@ class PdlArt {
   bool FloorAttempt(const Key& key, Key* found, uint64_t* value, Status* result) const;
   // Floor within a subtree known to be entirely <= key; false -> restart.
   bool SubtreeMax(uint64_t raw, Key* found, uint64_t* value, bool* ok) const;
+  // Greatest leaf under |node|'s children with byte < |below|, trying each
+  // smaller child in turn while the larger ones are empty. Same contract.
+  bool MaxBelow(const ArtNode* node, uint64_t version, int below, Key* found,
+                uint64_t* value, bool* ok) const;
   bool ScanAttempt(const Key& start, size_t limit,
                    std::vector<std::pair<Key, uint64_t>>* out) const;
   bool ScanNode(uint64_t raw, uint32_t depth, const Key& start, bool bounded,

@@ -300,10 +300,6 @@ uint64_t ArtMaxChildBelow(const ArtNode* n, int below_exclusive, uint8_t* byte) 
   return best_child;
 }
 
-uint64_t ArtMaxChild(const ArtNode* n, uint8_t* byte) {
-  return ArtMaxChildBelow(n, 256, byte);
-}
-
 uint64_t ArtMinChild(const ArtNode* n, uint8_t* byte) {
   int best = 256;
   uint64_t best_child = 0;

@@ -59,7 +59,6 @@ bool ArtRemoveChild(ArtNode* n, uint8_t b);
 // Greatest mapped byte strictly below limits / helpers for floor & scans.
 // Returns the child and sets *byte; 0 if none.
 uint64_t ArtMaxChildBelow(const ArtNode* n, int below_exclusive, uint8_t* byte);
-uint64_t ArtMaxChild(const ArtNode* n, uint8_t* byte);
 uint64_t ArtMinChild(const ArtNode* n, uint8_t* byte);
 
 // Copies entries into (bytes[], children[]) sorted by byte; returns count.

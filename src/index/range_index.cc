@@ -93,6 +93,8 @@ class PacTreeIndex : public RangeIndex {
     field("multiscan_batches", s.multiscan_batches);
     field("multiscan_shared_nodes", s.multiscan_shared_nodes);
     field("multiscan_walks_saved", s.multiscan_walks_saved);
+    field("perm_hits", s.perm_hits);
+    field("perm_builds", s.perm_builds);
     field("node_format", s.node_format == NodeFormat::kCompact ? 1 : 0);
     field("arena_compactions", s.arena_compactions);
     field("absorb_staged", s.absorb.staged);

@@ -1,5 +1,8 @@
 #include "src/nvm/shadow.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstring>
 #include <mutex>
@@ -87,9 +90,42 @@ void CommitStagedLocked(ShadowState* s, const StagedLine& staged, size_t nbytes)
   }
 }
 
+// Image buffers of finished Enable/Disable cycles. A crash sweep runs
+// thousands of cycles over the same pool sizes; reusing a buffer keeps its
+// pages mapped, where a fresh one page-faults every page of the image again
+// (those faults dominated a sweep's run time). Enable/Disable run on one
+// thread, like g_state itself.
+constexpr size_t kMaxSpareImages = 8;
+
+std::vector<std::vector<uint8_t>>& SpareImages() {
+  static auto* spares = new std::vector<std::vector<uint8_t>>();
+  return *spares;
+}
+
+// Reads the first |size| bytes of |path| into |image|. Holes read as zeros
+// without the memory a read through the mapping would allocate for them.
+// False (and |image| unspecified) when the file cannot be read in full.
+bool ReadFileInto(const std::string& path, size_t size, std::vector<uint8_t>* image) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return false;
+  }
+  image->resize(size);
+  size_t off = 0;
+  while (off < size) {
+    ssize_t n = ::pread(fd, image->data() + off, size - off, static_cast<off_t>(off));
+    if (n <= 0) {
+      break;
+    }
+    off += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  return off == size;
+}
+
 }  // namespace
 
-void ShadowHeap::Enable(void* base, size_t size) {
+void ShadowHeap::Enable(void* base, size_t size, const std::string& backing_file) {
   if (g_state == nullptr) {
     g_state = new ShadowState();
     g_epoch.fetch_add(1, std::memory_order_acq_rel);
@@ -97,7 +133,14 @@ void ShadowHeap::Enable(void* base, size_t size) {
   ShadowRegion r;
   r.live = static_cast<uint8_t*>(base);
   r.size = size;
-  r.image.assign(r.live, r.live + size);
+  std::vector<std::vector<uint8_t>>& spares = SpareImages();
+  if (!spares.empty()) {
+    r.image = std::move(spares.back());
+    spares.pop_back();
+  }
+  if (backing_file.empty() || !ReadFileInto(backing_file, size, &r.image)) {
+    r.image.assign(r.live, r.live + size);  // reuses the spare's pages
+  }
   g_state->regions.push_back(std::move(r));
   g_frozen.store(false, std::memory_order_release);
   g_active.store(true, std::memory_order_release);
@@ -108,6 +151,13 @@ void ShadowHeap::Disable() {
     g_active.store(false, std::memory_order_release);
     g_frozen.store(false, std::memory_order_release);
     g_epoch.fetch_add(1, std::memory_order_acq_rel);
+    std::vector<std::vector<uint8_t>>& spares = SpareImages();
+    for (ShadowRegion& r : g_state->regions) {
+      spares.push_back(std::move(r.image));
+    }
+    if (spares.size() > kMaxSpareImages) {
+      spares.erase(spares.begin(), spares.end() - kMaxSpareImages);
+    }
     delete g_state;
     g_state = nullptr;
   }
@@ -264,19 +314,28 @@ std::vector<uint8_t> ShadowHeap::Capture(CrashMode mode, uint64_t seed,
 
 std::vector<uint8_t> ShadowHeap::CaptureRegion(void* base, CrashMode mode, uint64_t seed,
                                                double evict_probability) {
+  std::vector<uint8_t> out;
+  CaptureRegionInto(base, mode, &out, seed, evict_probability);
+  return out;
+}
+
+bool ShadowHeap::CaptureRegionInto(void* base, CrashMode mode, std::vector<uint8_t>* image,
+                                   uint64_t seed, double evict_probability) {
+  image->clear();
   ShadowState* s = g_state;
   if (s == nullptr || s->regions.empty()) {
-    return {};
+    return false;
   }
   size_t region_index = 0;
   ShadowRegion* r =
       base == nullptr ? &s->regions[0]
                       : s->Find(reinterpret_cast<uintptr_t>(base), &region_index);
   if (r == nullptr) {
-    return {};
+    return false;
   }
   std::lock_guard<std::mutex> lock(s->image_mu);
-  std::vector<uint8_t> out = r->image;
+  std::vector<uint8_t>& out = *image;
+  out.assign(r->image.begin(), r->image.end());  // reuses |image|'s capacity
   if (mode == CrashMode::kChaos) {
     // Random cache evictions made some unflushed lines durable. The per-line
     // decision is a pure hash of (seed, region, offset) so the same seed
@@ -288,7 +347,7 @@ std::vector<uint8_t> ShadowHeap::CaptureRegion(void* base, CrashMode mode, uint6
       }
     }
   }
-  return out;
+  return true;
 }
 
 }  // namespace pactree

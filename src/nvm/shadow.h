@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace pactree {
@@ -43,8 +44,10 @@ class ShadowHeap {
   // Starts shadowing [base, base+size). The shadow image is initialized from
   // the current live contents (i.e., the state at enable time is durable).
   // May be called repeatedly to shadow several regions (e.g., each pool of an
-  // index). Test-only facility.
-  static void Enable(void* base, size_t size);
+  // index). When the region is a MAP_SHARED mapping of |backing_file|, pass
+  // the file: the image is then read from it, and the file's holes (most of
+  // a fresh pool) are not allocated by the copy. Test-only facility.
+  static void Enable(void* base, size_t size, const std::string& backing_file = {});
   static void Disable();
   static bool IsActive();
 
@@ -55,6 +58,11 @@ class ShadowHeap {
   static std::vector<uint8_t> CaptureRegion(void* base, CrashMode mode,
                                             uint64_t seed = 0,
                                             double evict_probability = 0.05);
+  // Same snapshot, written into |*image| so a caller that captures once per
+  // crash point reuses one buffer's pages. Returns false (and leaves |*image|
+  // empty) when no region is registered at |base|.
+  static bool CaptureRegionInto(void* base, CrashMode mode, std::vector<uint8_t>* image,
+                                uint64_t seed = 0, double evict_probability = 0.05);
 
   // Hooks called from the persistence primitives (no-ops when inactive).
   static void OnPersist(const void* p, size_t n);

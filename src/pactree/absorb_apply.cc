@@ -190,11 +190,9 @@ bool PacTree::AbsorbApply(const AbsorbOp* ops, size_t n) {
     if (bm != node->Bitmap()) {
       node->PublishBitmap(bm);  // ONE durability-pivot publish for the group
     }
-    if (!opts_.selective_persistence) {
-      MaintainPermutation(node);
-    }
-    if (removed_any) {
-      TryMergeLocked(node);
+    const bool merged = removed_any && TryMergeLocked(node);
+    if (!merged && !opts_.selective_persistence) {
+      MaintainPermutation(node);  // a merge maintains its survivor itself
     }
     node->lock.WriteUnlock();
   }

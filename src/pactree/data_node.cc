@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstring>
+#include <iterator>
 
 #if defined(PACTREE_AVX2)
 #include <immintrin.h>
@@ -384,6 +385,73 @@ size_t DataNode::CompactArenaLocked() {
   return p < old_cursor ? old_cursor - p : 0;
 }
 
+namespace {
+// True when |pv| is a building marker of the current incarnation: a live
+// publisher owns perm[]. A marker from an earlier generation is void.
+bool PermHeld(uint64_t pv) {
+  return (pv & 3) == 3 && static_cast<uint32_t>(pv >> 32) == GlobalGeneration();
+}
+}  // namespace
+
+uint64_t DataNode::PermState() const {
+  return PermWord().load(std::memory_order_acquire);
+}
+
+void DataNode::CopyPerm(uint8_t* order) const {
+  for (size_t w = 0; w < std::size(perm); ++w) {
+    uint64_t word = std::atomic_ref<uint64_t>(const_cast<uint64_t&>(perm[w]))
+                        .load(std::memory_order_relaxed);
+    std::memcpy(order + 8 * w, &word, sizeof(word));
+  }
+}
+
+void DataNode::StorePerm(const uint8_t* order) {
+  // Release stores: a reader that loads a word from this publish and then
+  // validates (acquire fence) also sees the lock state this publisher saw,
+  // so it cannot pass validation with a token older than the publisher's.
+  for (size_t w = 0; w < std::size(perm); ++w) {
+    uint64_t word;
+    std::memcpy(&word, order + 8 * w, sizeof(word));
+    std::atomic_ref<uint64_t>(perm[w]).store(word, std::memory_order_release);
+  }
+}
+
+void DataNode::PublishPerm(uint64_t seen, uint64_t version, const uint8_t* order) {
+  // Validate BEFORE claiming: a stale token must not evict an entry current
+  // readers use. |seen| was loaded before the caller's reads, so the CAS
+  // also fails if any publish landed since.
+  if (PermHeld(seen) || !lock.Validate(version)) {
+    return;
+  }
+  uint64_t mine = PermBuilding(GlobalGeneration());
+  if (!PermWord().compare_exchange_strong(seen, mine, std::memory_order_acq_rel)) {
+    return;
+  }
+  StorePerm(order);
+  // Only the holder clears the marker, hence a CAS from our own marker.
+  PermWord().compare_exchange_strong(
+      mine, lock.Validate(version) ? version : kPermNone,
+      std::memory_order_release);
+}
+
+void DataNode::StorePermLocked(const uint8_t* order) {
+  uint64_t mine = PermBuilding(GlobalGeneration());
+  uint64_t seen = PermWord().load(std::memory_order_relaxed);
+  while (true) {
+    if (PermHeld(seen)) {
+      CpuRelax();  // a reader mid-publish: it fails its validate and clears
+      seen = PermWord().load(std::memory_order_relaxed);
+    } else if (PermWord().compare_exchange_weak(seen, mine,
+                                                std::memory_order_acquire)) {
+      break;
+    }
+  }
+  StorePerm(order);
+  PersistFence(perm, sizeof(perm));
+  PermWord().compare_exchange_strong(mine, lock.RawWord() + 1,  // post-unlock
+                                     std::memory_order_release);
+}
+
 void DataNode::PublishBitmap(uint64_t new_bitmap) {
   AtomicStorePersist(reinterpret_cast<std::atomic<uint64_t>*>(&bitmap), new_bitmap);
 }
@@ -408,6 +476,7 @@ int DataNode::ComputeSortedOrder(uint8_t* out) const {
     std::sort(out, out + n,
               [&keys](uint8_t a, uint8_t b) { return keys[a] < keys[b]; });
   }
+  std::fill(out + n, out + kDataNodeEntries, 0);
   return n;
 }
 

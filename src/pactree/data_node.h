@@ -4,8 +4,8 @@
 // update is the linearization AND durability point for every common-case write
 // (§5.5); a cache-line-aligned fingerprint array matched with SIMD; a
 // permutation array that is deliberately NOT persisted (selective persistence,
-// §4.4) and is regenerated on demand, version-checked; anchor key fixed at
-// creation; doubly-linked siblings.
+// §4.4) and is regenerated on demand, version-checked (the permutation cache,
+// DESIGN.md §6k); anchor key fixed at creation; doubly-linked siblings.
 //
 // Two on-media layouts share one header (DESIGN.md §6i):
 //
@@ -28,6 +28,7 @@
 #ifndef PACTREE_SRC_PACTREE_DATA_NODE_H_
 #define PACTREE_SRC_PACTREE_DATA_NODE_H_
 
+#include <atomic>
 #include <cstdint>
 
 #include "src/common/key.h"
@@ -64,6 +65,21 @@ inline size_t CommonPrefixLen(const Key& a, const Key& b) {
   return i;
 }
 
+// Permutation-cache states of DataNode::perm_version (DESIGN.md §6k):
+//   kPermNone          nothing cached. Odd, and ReadLock tokens are always
+//                      even, so it never matches a reader's token. Every node
+//                      is created in this state.
+//   PermBuilding(gen)  a publisher owns perm[] (bits 0-1 set, the holder's
+//                      generation above). Only the holder clears it. A marker
+//                      whose generation is not the current one was left by an
+//                      earlier incarnation and is void, exactly like a lock
+//                      word captured held by a crash.
+//   a lock token       perm[] is the sorted live-slot order at that version.
+inline constexpr uint64_t kPermNone = 1;
+inline constexpr uint64_t PermBuilding(uint32_t generation) {
+  return (static_cast<uint64_t>(generation) << 32) | 3;
+}
+
 struct DataNode {
   // --- cache line 0: mutable metadata (persisted, except perm_version) ---
   OptVersionLock lock;     // 0
@@ -82,7 +98,10 @@ struct DataNode {
   // --- cache line 2: fingerprints (persisted) ---
   uint8_t fp[kDataNodeEntries];    // 128
   // --- cache line 3: permutation array (NOT persisted) ---
-  uint8_t perm[kDataNodeEntries];  // 192
+  // Slot indices in key order, 8 per word; only ever loaded and stored as
+  // whole atomic words, so a reader racing a publisher sees each word either
+  // old or new (and then fails its version validation).
+  uint64_t perm[kDataNodeEntries / 8];  // 192
   // --- slots (format-dependent tail; access through the helpers) ---
   struct ClassicTail {
     Key keys[kDataNodeEntries];        // 256
@@ -187,9 +206,32 @@ struct DataNode {
   // Atomically stores+persists a new bitmap value (linearization point).
   void PublishBitmap(uint64_t new_bitmap);
 
-  // Computes the sorted order of live slots into |out| (up to 64 entries);
-  // returns the count. Pure function of the current slot contents.
+  // Computes the sorted order of live slots into |out| (64 entries; those
+  // past the returned count are 0, so every entry is a valid slot index).
+  // Pure function of the current slot contents.
   int ComputeSortedOrder(uint8_t* out) const;
+
+  // ---- permutation cache (DESIGN.md §6k) ----
+
+  // Current perm_version word. A reader holding read token |version| hits
+  // when this equals |version|; otherwise it passes the word it saw to
+  // PublishPerm as the CAS expectation.
+  uint64_t PermState() const;
+  // Copies the cached order (all 64 entries) into |order|. Only meaningful
+  // after PermState() returned the caller's token; the caller validates.
+  void CopyPerm(uint8_t* order) const;
+  // Reader-side publish of |order| (64 entries, each < 64) as the order under
+  // read token |version|: validates the token, CASes |seen| -> building (so
+  // an entry that changed since |seen| was loaded is never evicted), stores
+  // the words, and clears the marker to |version|, or to kPermNone when the
+  // token went stale meanwhile. A no-op when another publisher holds the
+  // marker or the token is already stale.
+  void PublishPerm(uint64_t seen, uint64_t version, const uint8_t* order);
+  // Writer-side store under the node's write lock (!selective_persistence):
+  // waits out any current holder, stores and persists |order|, and clears
+  // the marker to the token readers get once the lock drops -- so the
+  // caller must not modify the node before unlocking.
+  void StorePermLocked(const uint8_t* order);
 
   // Software-prefetches everything a FindKey probe reads before the slot
   // compare (kProbeSpanBytes: the node's first XPLine). The batched read
@@ -226,6 +268,12 @@ struct DataNode {
   bool IsDeleted() const;
 
  private:
+  // Permutation-cache internals (data_node.cc).
+  std::atomic_ref<uint64_t> PermWord() const {
+    return std::atomic_ref<uint64_t>(const_cast<uint64_t&>(perm_version));
+  }
+  // Stores |order| word by word; the caller holds the building marker.
+  void StorePerm(const uint8_t* order);
   // Compact internals (data_node.cc).
   uint32_t LoadDesc(int slot) const;
   void StoreDesc(int slot, uint32_t desc);

@@ -21,7 +21,6 @@ namespace pactree {
 namespace {
 constexpr uint64_t kPacMagic = 0x3145455254434150ULL;  // "PACTREE1"
 constexpr int kMergeThreshold = 24;  // merge when combined live keys fit easily
-constexpr uint64_t kPermBuilding = 1ULL << 63;
 
 // Updater-service count: explicit option, else PAC_UPDATERS, else one per
 // logical NUMA node (§4.3's per-NUMA replay sharding).
@@ -130,7 +129,7 @@ bool PacTree::Init(const PacTreeOptions& opts) {
     auto* head_node = static_cast<DataNode*>(head.get());
     head_node->anchor = Key::Min();
     head_node->format_byte = static_cast<uint8_t>(opts_.node_format);
-    head_node->perm_version = kPermBuilding;  // never matches a lock version
+    head_node->perm_version = kPermNone;
     PersistFence(head_node, DataNode::NodeBytes(opts_.node_format));
     root_->head_raw = head.raw;
     root_->node_format_plus1 = static_cast<uint64_t>(opts_.node_format) + 1;
@@ -474,12 +473,13 @@ Status PacTree::LookupBase(const Key& key, uint64_t* value) const {
 
 void PacTree::MaintainPermutation(DataNode* node) {
   // "-Selective persistence" mode: keep the permutation array durable on every
-  // write, paying flushes + an extra cache-line invalidation (Figure 12).
+  // write, paying the sort, a flush and a fence per write (Figure 12). The
+  // write lock is held, so this order is exactly what readers see once it
+  // drops: publish it for the post-unlock token, and reads in this mode use
+  // the cache just as in the default mode -- the ablation isolates the flush.
   uint8_t order[kDataNodeEntries];
-  int n = node->ComputeSortedOrder(order);
-  std::memcpy(node->perm, order, n);
-  node->perm_version = kPermBuilding;  // durable copy is for recovery, not reads
-  PersistFence(node->perm, kDataNodeEntries);
+  node->ComputeSortedOrder(order);
+  node->StorePermLocked(order);
 }
 
 Status PacTree::Insert(const Key& key, uint64_t value) {
@@ -616,10 +616,9 @@ Status PacTree::Remove(const Key& key) {
       return Status::kNotFound;
     }
     node->PublishBitmap(node->Bitmap() & ~(1ULL << slot));
-    if (!opts_.selective_persistence) {
-      MaintainPermutation(node);
+    if (!TryMergeLocked(node) && !opts_.selective_persistence) {
+      MaintainPermutation(node);  // a merge maintains its survivor itself
     }
-    TryMergeLocked(node);
     node->lock.WriteUnlock();
     return Status::kOk;
   }
@@ -669,7 +668,7 @@ DataNode* PacTree::SplitLocked(DataNode* node, const Key& key) {
   new_node->anchor = split_anchor;
   new_node->format_byte = node->format_byte;
   new_node->deleted = 0;
-  new_node->perm_version = kPermBuilding;
+  new_node->perm_version = kPermNone;
   new_node->arena_cursor = 0;
   new_node->next_raw = node->NextRaw();
   new_node->prev_raw = ToPPtr(node).Cast<void>().raw;
@@ -748,15 +747,19 @@ bool PacTree::MakeRoomLocked(DataNode** node, const Key& key) {
   return true;
 }
 
-void PacTree::TryMergeLocked(DataNode* node) {
+bool PacTree::TryMergeLocked(DataNode* node) {
   // Prefer absorbing the right sibling; fall back to being absorbed by the
   // left one (sequential deletes would otherwise never find a small right
   // neighbor). All sibling locks are try-only, so lock ordering cannot
   // deadlock. |survivor| keeps its anchor; |victim| is logically deleted.
+  // A sibling is locked only when an unlocked count says the merge fits
+  // (rechecked under the lock): a lock taken and dropped for nothing bumps
+  // the sibling's version, which drops its cached order (DESIGN.md §6k).
   DataNode* survivor = nullptr;
   DataNode* victim = nullptr;
   DataNode* right = node->Next();
-  if (right != nullptr && right->lock.TryWriteLock()) {
+  if (right != nullptr && node->CountLive() + right->CountLive() < kMergeThreshold &&
+      right->lock.TryWriteLock()) {
     if (!right->IsDeleted() &&
         node->CountLive() + right->CountLive() < kMergeThreshold) {
       survivor = node;
@@ -767,13 +770,14 @@ void PacTree::TryMergeLocked(DataNode* node) {
   }
   if (survivor == nullptr) {
     DataNode* left = node->Prev();
-    if (left == nullptr || !left->lock.TryWriteLock()) {
-      return;
+    if (left == nullptr || left->CountLive() + node->CountLive() >= kMergeThreshold ||
+        !left->lock.TryWriteLock()) {
+      return false;
     }
     if (left->IsDeleted() || left->NextRaw() != ToPPtr(node).Cast<void>().raw ||
         left->CountLive() + node->CountLive() >= kMergeThreshold) {
       left->lock.WriteUnlock();
-      return;
+      return false;
     }
     survivor = left;
     victim = node;
@@ -799,7 +803,7 @@ void PacTree::TryMergeLocked(DataNode* node) {
     if (kCompactArenaBytes - survivor->arena_cursor < need) {
       DataNode* locked_sibling = survivor == node ? victim : survivor;
       locked_sibling->lock.WriteUnlock();
-      return;
+      return false;
     }
   }
   uint64_t survivor_raw = ToPPtr(survivor).Cast<void>().raw;
@@ -840,9 +844,16 @@ void PacTree::TryMergeLocked(DataNode* node) {
     updater_->ApplySync(e);
   }
 
+  // "-Selective persistence": the survivor gained the victim's keys. Persist
+  // and publish its order while it is still locked -- when it is the left
+  // sibling, its lock drops below and the caller never sees it.
+  if (!opts_.selective_persistence) {
+    MaintainPermutation(survivor);
+  }
   // Unlock whichever sibling we locked here; the caller's node stays locked.
   DataNode* locked_sibling = survivor == node ? victim : survivor;
   locked_sibling->lock.WriteUnlock();
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -924,27 +935,21 @@ size_t PacTree::MergeStagedScan(const std::map<Key, AbsorbPending>& pending,
 
 int PacTree::SortedOrderSnapshot(DataNode* node, uint64_t version,
                                  uint8_t* order) const {
-  // Permutation-array fast path (§5.4): reuse the cached sorted order when
-  // its version matches; otherwise rebuild and try to publish it. The
-  // kPermBuilding bit makes publishers mutually exclusive; the array is
-  // never persisted (selective persistence, §4.4). The caller validates
-  // |version| after consuming the order, as with any optimistic read.
-  uint64_t pv = std::atomic_ref<uint64_t>(node->perm_version)
-                    .load(std::memory_order_acquire);
-  if (pv == version) {
-    int n = node->CountLive();
-    std::memcpy(order, node->perm, kDataNodeEntries);
-    return n;
+  // Permutation-array fast path (§5.4, DESIGN.md §6k): reuse the cached
+  // sorted order when its version matches; otherwise rebuild and try to
+  // publish it. The array is never persisted (selective persistence, §4.4).
+  // The caller validates |version| after consuming the order, as with any
+  // optimistic read.
+  ReadStatCell& rs = ReadStats();
+  const uint64_t seen = node->PermState();  // before any slot read
+  if (seen == version) {
+    rs.perm_hits.fetch_add(1, std::memory_order_relaxed);
+    node->CopyPerm(order);
+    return node->CountLive();
   }
+  rs.perm_builds.fetch_add(1, std::memory_order_relaxed);
   int n = node->ComputeSortedOrder(order);
-  if ((pv & kPermBuilding) == 0 &&
-      std::atomic_ref<uint64_t>(node->perm_version)
-          .compare_exchange_strong(pv, kPermBuilding, std::memory_order_acq_rel)) {
-    std::memcpy(node->perm, order, kDataNodeEntries);
-    std::atomic_ref<uint64_t>(node->perm_version)
-        .store(node->lock.Validate(version) ? version : 0,
-               std::memory_order_release);
-  }
+  node->PublishPerm(seen, version, order);
   return n;
 }
 
@@ -982,7 +987,9 @@ size_t PacTree::ScanBase(const Key& start, size_t count,
       rs.retries.fetch_add(1, std::memory_order_relaxed);
       node = FindDataNode(cursor, &version);
     }
-    if (next_raw != 0) {
+    // A batch that fills |out| ends the walk: no sibling lock or prefetch.
+    const bool done = next_raw == 0 || out->size() + batch_n >= count;
+    if (!done) {
       // One node ahead: start the sibling's metadata/anchor/fingerprint line
       // fetching while this node's batch drains into |out|, so the sequential
       // whole-node read above finds its first XPLine warm.
@@ -991,7 +998,7 @@ size_t PacTree::ScanBase(const Key& start, size_t count,
     for (size_t i = 0; i < batch_n && out->size() < count; ++i) {
       out->push_back(batch[i]);
     }
-    if (next_raw == 0) {
+    if (done) {
       break;
     }
     node = PPtr<DataNode>(next_raw).get();
@@ -1157,6 +1164,8 @@ PacTreeStats PacTree::Stats() const {
     s.multiscan_batches += c.multiscan_batches.load(std::memory_order_relaxed);
     s.multiscan_shared_nodes += c.multiscan_shared_nodes.load(std::memory_order_relaxed);
     s.multiscan_walks_saved += c.multiscan_walks_saved.load(std::memory_order_relaxed);
+    s.perm_hits += c.perm_hits.load(std::memory_order_relaxed);
+    s.perm_builds += c.perm_builds.load(std::memory_order_relaxed);
   }
   // Legacy 4-bucket view (0, 1, 2, >=3) derived from the full histogram.
   for (int i = 0; i < kHopHistBuckets; ++i) {

@@ -150,6 +150,10 @@ struct PacTreeStats {
   // (sum over shared nodes of consumers - 1).
   uint64_t multiscan_shared_nodes = 0;
   uint64_t multiscan_walks_saved = 0;
+  // Permutation cache (§5.4): scan node visits served from the cached sorted
+  // order, and visits that re-sorted the node's slots instead.
+  uint64_t perm_hits = 0;
+  uint64_t perm_builds = 0;
   // Format of NEW data nodes this incarnation writes (adopted from the root).
   NodeFormat node_format = NodeFormat::kClassic;
   // Compact-format suffix-arena compactions (in-place dead-suffix reclaims
@@ -380,11 +384,16 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // the caller unlocks it and fails its op with kFull.
   DataNode* SplitLocked(DataNode* node, const Key& key);
 
-  // Attempts to merge |right| into |node| (both ranges adjacent). |node| is
-  // write-locked; takes/releases |right|'s lock internally.
-  void TryMergeLocked(DataNode* node);
+  // Attempts to merge |node| with its right sibling, else into its left one.
+  // |node| is write-locked; takes/releases the sibling's lock internally.
+  // Returns true when it merged; the survivor's order is then already
+  // maintained (!selective_persistence), and |node| may be the victim.
+  bool TryMergeLocked(DataNode* node);
 
-  void MaintainPermutation(DataNode* node);  // !selective_persistence mode
+  // !selective_persistence mode: sorts, persists and publishes |node|'s order
+  // for its post-unlock token. Write lock held; call after the node's last
+  // change of this write, right before unlocking.
+  void MaintainPermutation(DataNode* node);
 
   PacTreeOptions opts_;
   std::unique_ptr<PmemHeap> search_heap_;
@@ -447,6 +456,8 @@ class PacTree : private AbsorbSink, private ValueGcSink {
     std::atomic<uint64_t> multiscan_batches{0};
     std::atomic<uint64_t> multiscan_shared_nodes{0};
     std::atomic<uint64_t> multiscan_walks_saved{0};
+    std::atomic<uint64_t> perm_hits{0};
+    std::atomic<uint64_t> perm_builds{0};
   };
   static constexpr size_t kReadStatCells = 64;
   ReadStatCell& ReadStats() const {

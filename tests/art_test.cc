@@ -202,6 +202,37 @@ TEST_F(ArtTest, FloorRandomizedAgainstStdMap) {
   }
 }
 
+// Removes leave emptied inner nodes behind; a floor search that meets one
+// must move on to the next smaller branch instead of giving up.
+TEST_F(ArtTest, FloorSkipsEmptiedInnerNodes) {
+  std::map<uint64_t, uint64_t> model;
+  for (uint64_t k = 1000; k < 3000; k += 32) {
+    tree_->Insert(Key::FromInt(k), k);
+    model[k] = k;
+  }
+  for (uint64_t k = 1000; k < 3000; k += 32) {
+    if (k % 352 != 328) {
+      tree_->Remove(Key::FromInt(k));
+      model.erase(k);
+    }
+  }
+  ASSERT_GE(model.size(), 4u);
+  for (uint64_t probe = 1000; probe < 3200; ++probe) {
+    Key found;
+    uint64_t v = 0;
+    Status s = tree_->LookupFloor(Key::FromInt(probe), &found, &v);
+    auto it = model.upper_bound(probe);
+    if (it == model.begin()) {
+      EXPECT_EQ(s, Status::kNotFound) << probe;
+      continue;
+    }
+    --it;
+    ASSERT_EQ(s, Status::kOk) << probe;
+    EXPECT_EQ(found.ToInt(), it->first) << probe;
+    EXPECT_EQ(v, it->second) << probe;
+  }
+}
+
 TEST_F(ArtTest, ScanOrderedAndBounded) {
   for (uint64_t i = 0; i < 1000; ++i) {
     tree_->Insert(Key::FromInt(i * 10), i);

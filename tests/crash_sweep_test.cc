@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <functional>
 
 #include "src/index/range_index.h"
@@ -36,15 +38,36 @@
 namespace pactree {
 namespace {
 
+// Rewrites |path| to hold exactly |bytes|. The file is emptied and
+// re-extended, so it reads as zeros, and only the pages holding a nonzero
+// byte are written: the untouched bulk of a pool image stays a hole instead
+// of being allocated and copied at every crash point.
 void OverwriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  constexpr size_t kPage = 4096;
   int fd = ::open(path.c_str(), O_WRONLY);
   ASSERT_GE(fd, 0) << path;
+  ASSERT_EQ(::ftruncate(fd, 0), 0) << path;
+  ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(bytes.size())), 0) << path;
+  static const uint8_t kZeros[kPage] = {};
+  auto page_is_zero = [&](size_t off) {
+    return std::memcmp(bytes.data() + off, kZeros, std::min(kPage, bytes.size() - off)) == 0;
+  };
   size_t off = 0;
   while (off < bytes.size()) {
-    ssize_t w = ::pwrite(fd, bytes.data() + off, bytes.size() - off,
-                         static_cast<off_t>(off));
-    ASSERT_GT(w, 0);
-    off += static_cast<size_t>(w);
+    if (page_is_zero(off)) {
+      off += kPage;
+      continue;
+    }
+    size_t end = off + kPage;  // extend over the run of nonzero pages
+    while (end < bytes.size() && !page_is_zero(end)) {
+      end += kPage;
+    }
+    end = std::min(end, bytes.size());
+    while (off < end) {
+      ssize_t w = ::pwrite(fd, bytes.data() + off, end - off, static_cast<off_t>(off));
+      ASSERT_GT(w, 0);
+      off += static_cast<size_t>(w);
+    }
   }
   ::close(fd);
 }
@@ -116,6 +139,11 @@ class CrashSweepTest : public ::testing::Test {
     return CreateIndex(kind, o);
   }
 
+  // Captured pool images, one per pool, reused by every crash point of a
+  // test: a fresh 32 MiB buffer per pool and point would page-fault all of
+  // its pages again.
+  std::vector<std::vector<uint8_t>> images_;
+
   // When nonzero, recovery-side opens run async with this many updaters.
   uint32_t recover_updaters_ = 0;
   // Route the trace's writes through the absorb buffer (both the pre-crash
@@ -155,7 +183,7 @@ class CrashSweepTest : public ::testing::Test {
     for (PmemHeap* heap : index->Heaps()) {
       for (uint32_t i = 0; i < heap->pool_count(); ++i) {
         PmemPool* pool = heap->pool(i);
-        ShadowHeap::Enable(pool->base(), pool->size());
+        ShadowHeap::Enable(pool->base(), pool->size(), pool->path());
         pools.push_back({pool->path(), pool->base()});
       }
     }
@@ -175,16 +203,16 @@ class CrashSweepTest : public ::testing::Test {
 
     // Mode side effects (evictions, torn lines) were applied by the injector
     // at the crash instant; the frozen image is captured as-is.
-    std::vector<std::vector<uint8_t>> images;
-    for (const PoolInfo& p : pools) {
-      images.push_back(ShadowHeap::CaptureRegion(p.base, CrashMode::kStrict));
-      EXPECT_FALSE(images.back().empty());
+    images_.resize(pools.size());
+    for (size_t i = 0; i < pools.size(); ++i) {
+      EXPECT_TRUE(ShadowHeap::CaptureRegionInto(pools[i].base, CrashMode::kStrict,
+                                                &images_[i]));
     }
     index.reset();
     EpochManager::Instance().DrainAll();
     ShadowHeap::Disable();
     for (size_t i = 0; i < pools.size(); ++i) {
-      OverwriteFile(pools[i].path, images[i]);
+      OverwriteFile(pools[i].path, images_[i]);
     }
 
     auto recovered = OpenIndex(kind, /*open_existing=*/true);

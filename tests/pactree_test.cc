@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/nvm/config.h"
+#include "src/nvm/persist.h"
 #include "src/nvm/topology.h"
+#include "src/pmem/pptr.h"
 #include "src/sync/epoch.h"
+#include "src/sync/generation.h"
 
 namespace pactree {
 namespace {
@@ -39,6 +44,46 @@ class PacTreeTest : public ::testing::Test {
     EpochManager::Instance().DrainAll();
     tree_ = PacTree::Open(opts_);
     ASSERT_NE(tree_, nullptr);
+  }
+
+  // Destroys the tree and opens a fresh one with the current options.
+  void Recreate() {
+    tree_.reset();
+    EpochManager::Instance().DrainAll();
+    PacTree::Destroy("pt_test");
+    tree_ = PacTree::Open(opts_);
+    ASSERT_NE(tree_, nullptr);
+  }
+
+  // Permutation-cache counters of one full-tree scan, which must return
+  // exactly |model| in order.
+  struct PermDelta {
+    uint64_t hits = 0;
+    uint64_t builds = 0;
+  };
+  PermDelta ScanAll(const std::map<uint64_t, uint64_t>& model) {
+    PacTreeStats before = tree_->Stats();
+    std::vector<std::pair<Key, uint64_t>> out;
+    tree_->Scan(Key::Min(), model.size() + 10, &out);
+    PacTreeStats after = tree_->Stats();
+    EXPECT_EQ(out.size(), model.size());
+    auto it = model.begin();
+    for (size_t i = 0; i < out.size() && it != model.end(); ++i, ++it) {
+      EXPECT_EQ(out[i].first.ToInt(), it->first);
+      EXPECT_EQ(out[i].second, it->second);
+    }
+    return {after.perm_hits - before.perm_hits,
+            after.perm_builds - before.perm_builds};
+  }
+
+  // The data node owning |key|, through the drained search layer.
+  DataNode* NodeOf(uint64_t key) {
+    tree_->DrainSmoLogs();
+    Key found;
+    uint64_t raw = 0;
+    EXPECT_EQ(tree_->search_layer()->LookupFloor(Key::FromInt(key), &found, &raw),
+              Status::kOk);
+    return PPtr<DataNode>(raw).get();
   }
 
   PacTreeOptions opts_;
@@ -332,13 +377,236 @@ TEST_F(PacTreeTest, NonSelectivePersistenceMode) {
   opts_.selective_persistence = false;
   tree_ = PacTree::Open(opts_);
   ASSERT_NE(tree_, nullptr);
+  std::map<uint64_t, uint64_t> model;
   for (uint64_t i = 0; i < 10000; ++i) {
     tree_->Insert(Key::FromInt(i), i);
+    model[i] = i;
   }
   std::vector<std::pair<Key, uint64_t>> out;
   EXPECT_EQ(tree_->Scan(Key::FromInt(100), 50, &out), 50u);
   for (size_t i = 0; i < 50; ++i) {
     EXPECT_EQ(out[i].first.ToInt(), 100 + i);
+  }
+  // Reads in this mode use the permutation cache: once every node has an
+  // order, a repeat scan is all hits.
+  tree_->DrainSmoLogs();
+  ScanAll(model);
+  PermDelta d = ScanAll(model);
+  EXPECT_GT(d.hits, 0u);
+  EXPECT_EQ(d.builds, 0u);
+  // A writer publishes the order it persists for its post-unlock version,
+  // so a scan right after writes still needs no rebuild (in the default
+  // mode each written node costs the next scan one rebuild).
+  for (uint64_t k : {10ULL, 5000ULL, 5001ULL, 7777ULL}) {
+    ASSERT_EQ(tree_->Update(Key::FromInt(k), k + 1), Status::kOk);
+    model[k] = k + 1;
+  }
+  d = ScanAll(model);
+  EXPECT_GT(d.hits, 0u);
+  EXPECT_EQ(d.builds, 0u);
+  // Removes from the low end empty the head node, then merge the next node
+  // into it from the left. That survivor is a sibling TryMergeLocked locks
+  // and unlocks itself; it too gets the order it persists published. Stop
+  // at the Remove that merged, so no later write to the survivor hides it.
+  const uint64_t merges = tree_->Stats().merges;
+  for (uint64_t i = 0; tree_->Stats().merges == merges; ++i) {
+    ASSERT_LT(i, 200u) << "no merge";
+    ASSERT_EQ(tree_->Remove(Key::FromInt(i)), Status::kOk);
+    model.erase(i);
+  }
+  tree_->DrainSmoLogs();
+  d = ScanAll(model);
+  EXPECT_GT(d.hits, 0u);
+  EXPECT_EQ(d.builds, 0u);
+}
+
+// The §5.4 permutation cache: a repeat scan of unchanged nodes is served
+// from the cached sorted order, whichever path created the node, and across
+// a reopen -- also when a crash left a node's persisted line 0 carrying a
+// building marker.
+TEST_F(PacTreeTest, PermutationCacheServesRepeatScans) {
+  for (NodeFormat format : {NodeFormat::kClassic, NodeFormat::kCompact}) {
+    SCOPED_TRACE(format == NodeFormat::kCompact ? "compact" : "classic");
+    opts_.node_format = format;
+    Recreate();
+    std::map<uint64_t, uint64_t> model;
+
+    // Head node (created by Init).
+    for (uint64_t i = 0; i < 20; ++i) {
+      tree_->Insert(Key::FromInt(i * 10), i);
+      model[i * 10] = i;
+    }
+    PermDelta d = ScanAll(model);
+    EXPECT_EQ(d.builds, 1u);
+    d = ScanAll(model);
+    EXPECT_EQ(d.hits, 1u);
+    EXPECT_EQ(d.builds, 0u);
+    // One insert forces exactly one rebuild; then hits resume.
+    tree_->Insert(Key::FromInt(55), 55);
+    model[55] = 55;
+    d = ScanAll(model);
+    EXPECT_EQ(d.hits, 0u);
+    EXPECT_EQ(d.builds, 1u);
+    d = ScanAll(model);
+    EXPECT_EQ(d.hits, 1u);
+    EXPECT_EQ(d.builds, 0u);
+
+    // Split-created nodes.
+    for (uint64_t i = 1000; i < 3000; ++i) {
+      tree_->Insert(Key::FromInt(i), i);
+      model[i] = i;
+    }
+    ASSERT_GT(tree_->Stats().splits, 0u);
+    tree_->DrainSmoLogs();
+    PermDelta first = ScanAll(model);
+    d = ScanAll(model);
+    EXPECT_EQ(d.builds, 0u);
+    EXPECT_EQ(d.hits, first.hits + first.builds);
+    const uint64_t nodes = d.hits;
+    ASSERT_GT(nodes, 10u);
+    tree_->Insert(Key::FromInt(2000), 7);  // an update: one node changes
+    model[2000] = 7;
+    d = ScanAll(model);
+    EXPECT_EQ(d.builds, 1u);
+    EXPECT_EQ(d.hits, nodes - 1);
+    d = ScanAll(model);
+    EXPECT_EQ(d.builds, 0u);
+    EXPECT_EQ(d.hits, nodes);
+
+    // Merge survivors.
+    const uint64_t merges = tree_->Stats().merges;
+    for (uint64_t i = 1000; i < 3000; ++i) {
+      if (i % 16 != 0) {
+        tree_->Remove(Key::FromInt(i));
+        model.erase(i);
+      }
+    }
+    ASSERT_GT(tree_->Stats().merges, merges);
+    tree_->DrainSmoLogs();
+    ScanAll(model);
+    d = ScanAll(model);
+    EXPECT_EQ(d.builds, 0u);
+    EXPECT_GT(d.hits, 0u);
+
+    // Reopen: every cached token belongs to the previous generation, so the
+    // first scan rebuilds each node once and the second is all hits. One
+    // node carries a building marker of the old incarnation on media (as if
+    // a crash hit mid-publish); it must not stay locked out of the cache.
+    DataNode* marked = NodeOf(2048);
+    std::atomic_ref<uint64_t>(marked->perm_version)
+        .store(PermBuilding(GlobalGeneration()));
+    PersistFence(&marked->perm_version, sizeof(uint64_t));
+    ScanAll(model);
+    d = ScanAll(model);
+    EXPECT_EQ(d.builds, 1u) << "a live marker blocks publishing";
+    Reopen();
+    first = ScanAll(model);
+    EXPECT_EQ(first.hits, 0u);
+    d = ScanAll(model);
+    EXPECT_EQ(d.builds, 0u);
+    EXPECT_EQ(d.hits, first.builds);
+  }
+}
+
+// Scanners race writers that insert and remove keys inside a hot range of a
+// few nodes, forcing splits and merges there. Every Scan and MultiScan must
+// be exactly right while the permutation cache serves and re-publishes
+// orders -- with readers publishing (default) and with writers publishing
+// the order they persist (!selective_persistence).
+TEST_F(PacTreeTest, ConcurrentScansVsChurnServeExactOrders) {
+  constexpr uint64_t kSpace = 512;  // hot key range [0, kSpace)
+  constexpr uint64_t kStride = 16;  // stable keys: multiples of kStride
+  constexpr int kWriters = 2;       // writer w churns keys with k % 2 == w
+  constexpr int kScanners = 4;
+  constexpr int kCycles = 40;
+  constexpr size_t kCount = 40;
+  auto value_of = [](uint64_t k) { return k * 7 + 1; };
+  for (bool selective : {true, false}) {
+    SCOPED_TRACE(selective ? "selective" : "persist_perm");
+    opts_.selective_persistence = selective;
+    Recreate();
+    for (uint64_t k = 0; k < kSpace; k += kStride) {
+      tree_->Insert(Key::FromInt(k), value_of(k));
+    }
+    std::atomic<int> writers_left{kWriters};
+    std::atomic<bool> fail{false};
+    // Exact properties of one result: keys in range, strictly ascending,
+    // values mapping back to their keys, and every stable key from |start|
+    // up to the last result (or to the end when the result is short).
+    auto check = [&](uint64_t start, size_t count,
+                     const std::vector<std::pair<Key, uint64_t>>& out) {
+      uint64_t next_stable = (start + kStride - 1) / kStride * kStride;
+      for (size_t j = 0; j < out.size(); ++j) {
+        uint64_t k = out[j].first.ToInt();
+        if (k < start || k >= kSpace || out[j].second != value_of(k) ||
+            (j > 0 && !(out[j - 1].first < out[j].first)) || k > next_stable) {
+          return false;
+        }
+        if (k == next_stable) {
+          next_stable += kStride;
+        }
+      }
+      return out.size() == count || next_stable >= kSpace;
+    };
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&, w] {
+        Rng rng(900 + w);
+        std::vector<uint64_t> mine;
+        for (uint64_t k = 0; k < kSpace; ++k) {
+          if (k % kStride != 0 && k % kWriters == static_cast<uint64_t>(w)) {
+            mine.push_back(k);
+          }
+        }
+        for (int c = 0; c < kCycles; ++c) {
+          for (size_t i = mine.size(); i > 1; --i) {
+            std::swap(mine[i - 1], mine[rng.Uniform(i)]);
+          }
+          for (uint64_t k : mine) {  // fills the range: splits
+            tree_->Insert(Key::FromInt(k), value_of(k));
+          }
+          for (uint64_t k : mine) {  // empties it again: merges
+            tree_->Remove(Key::FromInt(k));
+          }
+        }
+        writers_left.fetch_sub(1);
+      });
+    }
+    for (int t = 0; t < kScanners; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(700 + t);
+        std::vector<std::vector<std::pair<Key, uint64_t>>> outs(2);
+        do {
+          const Key starts[2] = {Key::FromInt(rng.Uniform(kSpace)),
+                                 Key::FromInt(rng.Uniform(kSpace))};
+          const size_t counts[2] = {kCount, kCount / 2};
+          bool ok;
+          if (t % 2 == 0) {
+            tree_->Scan(starts[0], counts[0], &outs[0]);
+            ok = check(starts[0].ToInt(), counts[0], outs[0]);
+          } else {
+            tree_->MultiScan(std::span<const Key>(starts, 2),
+                             std::span<const size_t>(counts, 2), &outs);
+            ok = check(starts[0].ToInt(), counts[0], outs[0]) &&
+                 check(starts[1].ToInt(), counts[1], outs[1]);
+          }
+          if (!ok) {
+            fail.store(true);
+          }
+        } while (writers_left.load() > 0 && !fail.load());
+      });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+    EXPECT_FALSE(fail.load());
+    PacTreeStats s = tree_->Stats();
+    EXPECT_GT(s.splits, 0u);
+    EXPECT_GT(s.merges, 0u);
+    EXPECT_GT(s.perm_hits, 0u);
+    tree_->DrainSmoLogs();
+    std::string why;
+    EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
   }
 }
 
