@@ -51,11 +51,12 @@ int main(int argc, char** argv) {
   YcsbDriver::Run(&adapter, spec);
   PacTreeStats s1 = tree->Stats();
 
-  uint64_t hops[4];
+  uint64_t hops[4] = {};  // 0, 1, 2 and >= 3 hops
   uint64_t total = 0;
-  for (int i = 0; i < 4; ++i) {
-    hops[i] = s1.jump_hops[i] - s0.jump_hops[i];
-    total += hops[i];
+  for (int i = 0; i < kHopHistBuckets; ++i) {
+    const uint64_t d = s1.hop_hist[i] - s0.hop_hist[i];
+    hops[i < 3 ? i : 3] += d;
+    total += d;
   }
   std::printf("%-12s %12s %10s\n", "distance", "count", "share");
   const char* labels[4] = {"direct", "1 hop", "2 hops", ">=3 hops"};

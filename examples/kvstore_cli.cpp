@@ -96,8 +96,8 @@ int main(int argc, char** argv) {
     std::printf("splits          %llu\n", static_cast<unsigned long long>(s.splits));
     std::printf("merges          %llu\n", static_cast<unsigned long long>(s.merges));
     std::printf("smo applied     %llu\n", static_cast<unsigned long long>(s.smo_applied));
-    std::printf("direct lookups  %llu\n", static_cast<unsigned long long>(s.jump_hops[0]));
-    std::printf("1-hop lookups   %llu\n", static_cast<unsigned long long>(s.jump_hops[1]));
+    std::printf("direct lookups  %llu\n", static_cast<unsigned long long>(s.hop_hist[0]));
+    std::printf("1-hop lookups   %llu\n", static_cast<unsigned long long>(s.hop_hist[1]));
     return 0;
   }
   Usage();

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "src/common/failpoint.h"
+#include "src/common/scratch_array.h"
 #include "src/nvm/config.h"
 #include "src/nvm/persist.h"
 #include "src/nvm/topology.h"
@@ -171,29 +172,12 @@ bool AbsorbBuffer::CompareAndSet(const Key& key, uint64_t expected, uint64_t des
   return true;
 }
 
-AbsorbBuffer::Hit AbsorbBuffer::Lookup(const Key& key, uint64_t* value) const {
-  const Shard& sh = shards_[ShardOf(key)];
-  std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.staging.find(key);
-  if (it == sh.staging.end()) {
-    return Hit::kMiss;
-  }
-  st_lookup_hits_.fetch_add(1, std::memory_order_relaxed);
-  if (it->second.tombstone) {
-    return Hit::kTombstone;
-  }
-  if (value != nullptr) {
-    *value = it->second.value;
-  }
-  return Hit::kValue;
-}
-
 size_t AbsorbBuffer::MultiLookup(std::span<const Key> keys, Hit* hits,
                                  uint64_t* values) const {
   // Route once, then lock each involved shard once and probe all of its keys
   // under that single acquisition; with B keys over S shards this is
   // min(B, S) lock acquisitions instead of B.
-  std::vector<uint32_t> route(keys.size());
+  ScratchArray<uint8_t> route(keys.size());  // shard ids < kAbsorbMaxShards
   uint64_t involved = 0;  // bitmask; kAbsorbMaxShards <= 64
   for (size_t i = 0; i < keys.size(); ++i) {
     route[i] = ShardOf(keys[i]);

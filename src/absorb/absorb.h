@@ -214,17 +214,22 @@ class AbsorbBuffer {
   // clear -- the caller must then leave the old record alone.
   bool CompareAndSet(const Key& key, uint64_t expected, uint64_t desired);
 
+  // What the staging area says about a key. kMiss => the caller falls
+  // through to the data layer.
   enum class Hit { kMiss, kValue, kTombstone };
-  // Consults the key's owning shard. kMiss => caller falls through to the
-  // data layer.
-  Hit Lookup(const Key& key, uint64_t* value) const;
 
-  // Batched Lookup for the MultiGet pipeline: routes every key to its owning
-  // shard first, then takes each involved shard's mutex ONCE and probes all
-  // of that shard's keys under it. hits[i]/values[i] end up exactly as
-  // Lookup(keys[i], &values[i]) would leave them (values[i] written only on
-  // kValue). Returns the number of keys answered (kValue or kTombstone).
+  // Staging probe for the read pipeline (PacTree::Lookup is a batch of one):
+  // routes every key to its owning shard first, then takes each involved
+  // shard's mutex ONCE and probes all of that shard's keys under it.
+  // values[i] is written only on kValue. Returns the number of keys answered
+  // (kValue or kTombstone).
   size_t MultiLookup(std::span<const Key> keys, Hit* hits, uint64_t* values) const;
+  // MultiLookup of one key (the benchmark's traced probe calls it).
+  Hit Lookup(const Key& key, uint64_t* value) const {
+    Hit hit = Hit::kMiss;
+    MultiLookup(std::span<const Key>(&key, 1), &hit, value);
+    return hit;
+  }
 
   // Snapshot of every pending op with key >= |start| across all shards, for
   // Scan's staging/data-layer merge.

@@ -361,7 +361,10 @@ bool PdlArt::InsertAttempt(const Key& key, uint64_t value, bool upsert, bool* ex
 
     if (child == 0) {
       // ---- add a leaf to this node ----
-      bool full = node->count >= ArtNodeCapacity(node->type) && node->type != kArtN256;
+      // Optimistic read: a concurrent ArtAddChild stores count atomically.
+      const uint16_t count =
+          std::atomic_ref<uint16_t>(node->count).load(std::memory_order_relaxed);
+      bool full = count >= ArtNodeCapacity(node->type) && node->type != kArtN256;
       if (full) {
         if (parent == nullptr || !parent->lock.TryUpgrade(parent_version)) {
           return false;

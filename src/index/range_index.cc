@@ -233,8 +233,6 @@ class FpTreeIndex : public RangeIndex {
   }
   uint64_t Size() const override { return tree_->Size(); }
   std::string Name() const override { return "FPTree"; }
-  // The authors' FP-Tree binary supports fixed 8-byte keys only (paper §6).
-  bool SupportsStringKeys() const override { return false; }
   size_t PendingLogEntries() const override { return tree_->heap()->PendingLogEntries(); }
   std::vector<PmemHeap*> Heaps() const override { return {tree_->heap()}; }
   FpTree* tree() { return tree_.get(); }

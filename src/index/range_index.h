@@ -139,7 +139,6 @@ class RangeIndex {
   // (bench_common.h --json): one JSON object literal; "{}" when the index
   // exports nothing. PACTree reports hop/retry/batch-pipeline counters here.
   virtual std::string StatsJson() const { return "{}"; }
-  virtual bool SupportsStringKeys() const { return true; }
   // Flushes background work (PACTree's SMO logs) before measurement phases.
   virtual void Drain() {}
 

@@ -424,53 +424,6 @@ DataNode* PacTree::JumpWalk(DataNode* start, const Key& key, uint64_t* version) 
 // Point operations
 // ---------------------------------------------------------------------------
 
-Status PacTree::Lookup(const Key& key, uint64_t* value) const {
-  if (absorb_ != nullptr) {
-    // The owning shard's staging area holds the freshest acked write for this
-    // key (if any); a staged tombstone masks the data layer.
-    uint64_t v = 0;
-    switch (absorb_->Lookup(key, &v)) {
-      case AbsorbBuffer::Hit::kValue:
-        if (value != nullptr) {
-          *value = v;
-        }
-        return Status::kOk;
-      case AbsorbBuffer::Hit::kTombstone:
-        return Status::kNotFound;
-      case AbsorbBuffer::Hit::kMiss:
-        break;
-    }
-  }
-  return LookupBase(key, value);
-}
-
-Status PacTree::LookupBase(const Key& key, uint64_t* value) const {
-  ReadStats().epoch_enters.fetch_add(1, std::memory_order_relaxed);
-  EpochGuard guard;
-  uint8_t fingerprint = key.Fingerprint();
-  while (true) {
-    uint64_t version;
-    DataNode* node = FindDataNode(key, &version);
-    int slot = node->FindKey(key, fingerprint, /*will_read_value=*/true);
-    uint64_t v = 0;
-    if (slot >= 0) {
-      AnnotateNvmRead(node->ValueSlot(slot), sizeof(uint64_t));
-      v = node->ValueAt(slot);
-    }
-    if (!node->lock.Validate(version)) {
-      ReadStats().retries.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (slot < 0) {
-      return Status::kNotFound;
-    }
-    if (value != nullptr) {
-      *value = v;
-    }
-    return Status::kOk;
-  }
-}
-
 void PacTree::MaintainPermutation(DataNode* node) {
   // "-Selective persistence" mode: keep the permutation array durable on every
   // write, paying the sort, a flush and a fence per write (Figure 12). The
@@ -857,162 +810,6 @@ bool PacTree::TryMergeLocked(DataNode* node) {
 }
 
 // ---------------------------------------------------------------------------
-// Scan
-// ---------------------------------------------------------------------------
-
-size_t PacTree::Scan(const Key& start, size_t count,
-                     std::vector<std::pair<Key, uint64_t>>* out) const {
-  if (absorb_ == nullptr) {
-    return ScanBase(start, count, out);
-  }
-  // Merge the absorb shards' staged ops with the data layer. Snapshot the
-  // staging first: an op that drains between the snapshot and the base scan
-  // then appears in both streams, and the equal-key dedupe in the merge
-  // (staging wins) still emits it exactly once. Over-fetch the base scan by
-  // the staged tombstone count so each tombstone can mask one base key and
-  // the merge can still produce |count| results.
-  std::map<Key, AbsorbPending> pending;
-  absorb_->CollectFrom(start, &pending);
-  std::vector<std::pair<Key, uint64_t>> base;
-  ScanBase(start, count + StagedTombstonesFrom(pending, start), &base);
-  return MergeStagedScan(pending, start, base, count, out);
-}
-
-size_t PacTree::StagedTombstonesFrom(const std::map<Key, AbsorbPending>& pending,
-                                     const Key& start) {
-  size_t tomb = 0;
-  for (auto it = pending.lower_bound(start); it != pending.end(); ++it) {
-    if (it->second.tombstone) {
-      ++tomb;
-    }
-  }
-  return tomb;
-}
-
-size_t PacTree::MergeStagedScan(const std::map<Key, AbsorbPending>& pending,
-                                const Key& start,
-                                const std::vector<std::pair<Key, uint64_t>>& base,
-                                size_t count,
-                                std::vector<std::pair<Key, uint64_t>>* out) {
-  // |base| must be a data-layer scan from |start| that over-fetched by
-  // StagedTombstonesFrom(pending, start) -- the window math below relies on it.
-  // When the base scan filled its window there may be further data-layer keys
-  // just past base.back(); a staged-only key beyond that point cannot be
-  // emitted without skipping them.
-  const size_t want = count + StagedTombstonesFrom(pending, start);
-  const bool have_limit = base.size() == want && !base.empty();
-  const Key limit = have_limit ? base.back().first : Key();
-
-  out->clear();
-  auto it = pending.lower_bound(start);
-  size_t bi = 0;
-  while (out->size() < count && (it != pending.end() || bi < base.size())) {
-    bool take_pending;
-    if (it == pending.end()) {
-      take_pending = false;
-    } else if (bi >= base.size()) {
-      take_pending = true;
-    } else {
-      take_pending = !(base[bi].first < it->first);
-    }
-    if (take_pending) {
-      if (bi < base.size() && !(it->first < base[bi].first)) {
-        ++bi;  // same key surfaced by the base scan: the staged op supersedes
-      } else if (bi >= base.size() && have_limit && limit < it->first) {
-        break;  // staged-only key beyond the truncated base window
-      }
-      if (!it->second.tombstone) {
-        out->push_back({it->first, it->second.value});
-      }
-      ++it;
-    } else {
-      out->push_back(base[bi]);
-      ++bi;
-    }
-  }
-  return out->size();
-}
-
-int PacTree::SortedOrderSnapshot(DataNode* node, uint64_t version,
-                                 uint8_t* order) const {
-  // Permutation-array fast path (§5.4, DESIGN.md §6k): reuse the cached
-  // sorted order when its version matches; otherwise rebuild and try to
-  // publish it. The array is never persisted (selective persistence, §4.4).
-  // The caller validates |version| after consuming the order, as with any
-  // optimistic read.
-  ReadStatCell& rs = ReadStats();
-  const uint64_t seen = node->PermState();  // before any slot read
-  if (seen == version) {
-    rs.perm_hits.fetch_add(1, std::memory_order_relaxed);
-    node->CopyPerm(order);
-    return node->CountLive();
-  }
-  rs.perm_builds.fetch_add(1, std::memory_order_relaxed);
-  int n = node->ComputeSortedOrder(order);
-  node->PublishPerm(seen, version, order);
-  return n;
-}
-
-size_t PacTree::ScanBase(const Key& start, size_t count,
-                         std::vector<std::pair<Key, uint64_t>>* out) const {
-  ReadStatCell& rs = ReadStats();
-  rs.epoch_enters.fetch_add(1, std::memory_order_relaxed);
-  EpochGuard guard;
-  out->clear();
-  Key cursor = start;  // smallest key still wanted
-  uint64_t version;
-  DataNode* node = FindDataNode(cursor, &version);
-
-  std::pair<Key, uint64_t> batch[kDataNodeEntries];
-  while (node != nullptr && out->size() < count) {
-    size_t batch_n;
-    uint64_t next_raw;
-    while (true) {
-      batch_n = 0;
-      AnnotateNvmRead(node, node->NodeBytes());  // sequential whole-node read (GA5)
-      uint8_t order[kDataNodeEntries];
-      int n = SortedOrderSnapshot(node, version, order);
-      for (int i = 0; i < n && i < static_cast<int>(kDataNodeEntries); ++i) {
-        Key k = node->KeyAt(order[i]);
-        if (k < cursor) {
-          continue;
-        }
-        batch[batch_n++] = {k, node->ValueAt(order[i])};
-      }
-      next_raw = node->NextRaw();
-      if (node->lock.Validate(version)) {
-        break;
-      }
-      // Concurrent writer (or merge) hit this node: re-locate the cursor.
-      rs.retries.fetch_add(1, std::memory_order_relaxed);
-      node = FindDataNode(cursor, &version);
-    }
-    // A batch that fills |out| ends the walk: no sibling lock or prefetch.
-    const bool done = next_raw == 0 || out->size() + batch_n >= count;
-    if (!done) {
-      // One node ahead: start the sibling's metadata/anchor/fingerprint line
-      // fetching while this node's batch drains into |out|, so the sequential
-      // whole-node read above finds its first XPLine warm.
-      PPtr<DataNode>(next_raw).get()->PrefetchProbe();
-    }
-    for (size_t i = 0; i < batch_n && out->size() < count; ++i) {
-      out->push_back(batch[i]);
-    }
-    if (done) {
-      break;
-    }
-    node = PPtr<DataNode>(next_raw).get();
-    cursor = node->anchor;  // anchors are immutable
-    version = node->lock.ReadLock();
-    rs.node_locks.fetch_add(1, std::memory_order_relaxed);
-    if (node->IsDeleted()) {
-      node = FindDataNode(cursor, &version);
-    }
-  }
-  return out->size();
-}
-
-// ---------------------------------------------------------------------------
 // Pool pressure / degraded mode
 // ---------------------------------------------------------------------------
 
@@ -1068,7 +865,7 @@ uint64_t PacTree::Size() const {
     std::map<Key, AbsorbPending> pending;
     absorb_->CollectFrom(Key::Min(), &pending);
     for (const auto& [k, p] : pending) {
-      const bool in_base = LookupBase(k, nullptr) == Status::kOk;
+      const bool in_base = AbsorbBaseLookup(k, nullptr) == Status::kOk;
       if (p.tombstone && in_base) {
         --total;
       } else if (!p.tombstone && !in_base) {
@@ -1166,10 +963,6 @@ PacTreeStats PacTree::Stats() const {
     s.multiscan_walks_saved += c.multiscan_walks_saved.load(std::memory_order_relaxed);
     s.perm_hits += c.perm_hits.load(std::memory_order_relaxed);
     s.perm_builds += c.perm_builds.load(std::memory_order_relaxed);
-  }
-  // Legacy 4-bucket view (0, 1, 2, >=3) derived from the full histogram.
-  for (int i = 0; i < kHopHistBuckets; ++i) {
-    s.jump_hops[i < 3 ? i : 3] += s.hop_hist[i];
   }
   s.node_format = opts_.node_format;
   s.arena_compactions = stat_arena_compactions_.load(std::memory_order_relaxed);

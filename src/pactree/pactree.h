@@ -21,7 +21,6 @@
 #define PACTREE_SRC_PACTREE_PACTREE_H_
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -132,14 +131,14 @@ struct PacTreeStats {
   // SMO append waited for the updater to drain its ring.
   uint64_t smo_ring_full_waits = 0;
   // Jump-node distance distribution (§6.7): how many sibling hops a lookup
-  // needed after the search-layer traversal. Full histogram, plus the legacy
-  // 4-bucket view (0, 1, 2, >=3) derived from it for existing consumers.
+  // needed after the search-layer traversal.
   uint64_t hop_hist[kHopHistBuckets] = {};
-  uint64_t jump_hops[4] = {0, 0, 0, 0};
   uint64_t retries = 0;
   // Read-path amortization counters (what the batched pipeline saves).
   uint64_t epoch_enters = 0;  // EpochGuard constructions on read paths
   uint64_t node_locks = 0;    // data-node ReadLock acquisitions
+  // Caller batches only: the batches of one that serve Lookup and Scan do
+  // not count here.
   uint64_t multiget_batches = 0;
   uint64_t multiget_keys = 0;
   uint64_t multiget_node_groups = 0;   // groups probed under one validation
@@ -191,10 +190,12 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // Update only (kNotFound when absent). The paper's update writes the new
   // value to a fresh slot and flips both bitmap bits in one atomic store.
   Status Update(const Key& key, uint64_t value);
+  // Point lookup: a MultiGet batch of one (multiget.cc).
   Status Lookup(const Key& key, uint64_t* value) const;
   Status Remove(const Key& key);
 
-  // Range scan: up to |count| pairs with key >= |start|, ascending.
+  // Range scan: up to |count| pairs with key >= |start|, ascending. A
+  // MultiScan batch of one (multiget.cc).
   size_t Scan(const Key& start, size_t count,
               std::vector<std::pair<Key, uint64_t>>* out) const;
 
@@ -207,9 +208,9 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   size_t MultiGet(std::span<const Key> keys, uint64_t* values,
                   Status* statuses) const;
 
-  // Batched range scans: processes starts in ascending key order under one
-  // outer epoch (per-scan guards nest cheaply), so adjacent ranges reuse
-  // warmed node lines. Contract matches RangeIndex::MultiScan.
+  // Batched range scans: ONE sibling walk in ascending start order under one
+  // epoch; every range covering a node consumes that node's one validated
+  // batch. Contract matches RangeIndex::MultiScan.
   void MultiScan(std::span<const Key> starts, std::span<const size_t> counts,
                  std::vector<std::vector<std::pair<Key, uint64_t>>>* out) const;
 
@@ -314,36 +315,34 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // floors for a whole batch first, then enters here per node group.
   DataNode* JumpWalk(DataNode* start, const Key& key, uint64_t* version) const;
 
-  // Data-layer-only point lookup / scan (no absorb consult); the bodies of
-  // the public ops when absorb_writes is off.
-  Status LookupBase(const Key& key, uint64_t* value) const;
-  size_t ScanBase(const Key& start, size_t count,
-                  std::vector<std::pair<Key, uint64_t>>* out) const;
+  // The one point-read path (multiget.cc): Get runs the absorb stage, then
+  // GetBase answers keys[miss[0..m)] from the data layer alone, taking no
+  // absorb shard mutex (presence checks run under one). |batch| marks a
+  // caller's MultiGet for the multiget_* counters. Both fill statuses[i] of
+  // the keys they answer and return the kOk count.
+  size_t Get(std::span<const Key> keys, uint64_t* values, Status* statuses,
+             bool batch) const;
+  size_t GetBase(std::span<const Key> keys, size_t* miss, size_t m,
+                 uint64_t* values, Status* statuses, bool batch) const;
+
+  // The one scan path (multiget.cc): the MultiScan walk, writing range r's
+  // result into outs[r]. Ranges with a zero count take no part in the walk.
+  void ScanRanges(std::span<const Key> starts, std::span<const size_t> counts,
+                  std::vector<std::pair<Key, uint64_t>>* outs) const;
 
   // Sorted live-slot order of |node| under read token |version|: the
   // permutation-array fast path of §5.4 (reuse when the cached version
-  // matches, rebuild-and-publish otherwise). Returns the live count. Shared
-  // by ScanBase and the MultiScan merged walk.
+  // matches, rebuild-and-publish otherwise). Returns the live count.
   int SortedOrderSnapshot(DataNode* node, uint64_t version, uint8_t* order) const;
-
-  // Staged tombstones with key >= |start| (each can mask one base-scan key,
-  // so scans over-fetch the data layer by this much).
-  static size_t StagedTombstonesFrom(const std::map<Key, AbsorbPending>& pending,
-                                     const Key& start);
-  // Merges a data-layer scan window with the staged-op overlay (staging wins
-  // on equal keys; tombstones mask) into up to |count| results. |base| must
-  // be the ScanBase window of size count + StagedTombstonesFrom(start).
-  static size_t MergeStagedScan(const std::map<Key, AbsorbPending>& pending,
-                                const Key& start,
-                                const std::vector<std::pair<Key, uint64_t>>& base,
-                                size_t count,
-                                std::vector<std::pair<Key, uint64_t>>* out);
 
   // AbsorbSink: presence checks against the data layer, and the batched
   // drain application (absorb_apply.cc) -- per target node, one lock
   // acquisition, coalesced slot flushes, a single bitmap publish.
   Status AbsorbBaseLookup(const Key& key, uint64_t* value) const override {
-    return LookupBase(key, value);
+    size_t only = 0;
+    Status st = Status::kNotFound;
+    GetBase(std::span<const Key>(&key, 1), &only, 1, value, &st, /*batch=*/false);
+    return st;
   }
   // Returns false when a data-node allocation failed mid-batch (a split could
   // not complete): a durable prefix of the batch may already be applied,
@@ -361,6 +360,11 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // The no-absorb half of CasValueHandle. False when the key no longer maps
   // to |old_handle| or a needed split failed on kFull (GC unwinds).
   bool CasValueBase(const Key& key, uint64_t old_handle, uint64_t new_handle);
+  // The value-resolution stage of LookupValue, ScanValues and MultiGetValues:
+  // inline decode, else cache probe, else a log read under the caller's
+  // EpochGuard (which covered the fetch of |handle|). On kRetry re-fetches
+  // the handle and tries again: at most 64 attempts, retries counted.
+  Status ResolveValue(const Key& key, uint64_t handle, std::string* out) const;
   // Write-path hygiene when the value tier is on: retire the key's current
   // log record from the live accounting and evict its cache entry. Racy by
   // design (a lost race skews live-counts conservatively; correctness rides

@@ -13,6 +13,7 @@
 
 #include "src/absorb/absorb.h"
 #include "src/common/key.h"
+#include "src/common/scratch_array.h"
 #include "src/common/status.h"
 #include "src/pactree/data_node.h"
 #include "src/pactree/pac_root.h"
@@ -66,74 +67,23 @@ Status PacTree::InsertValue(const Key& key, std::string_view value) {
 }
 
 Status PacTree::LookupValue(const Key& key, std::string* value) const {
-  // One guard spans the handle fetch AND the log dereference: a record's
-  // segment is epoch-retired, so its bytes cannot be recycled while any
-  // reader that could have observed its handle is still inside the epoch.
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    EpochGuard guard;
-    uint64_t h = 0;
-    Status s = Lookup(key, &h);
-    if (s != Status::kOk) {
-      return s;
-    }
-    if (ValueHandleIsInline(h)) {
-      DecodeInlineValue(h, value);
-      return Status::kOk;
-    }
-    if (vstore_ == nullptr) {
-      return Status::kCorrupted;  // log handle but no log: torn configuration
-    }
-    if (vcache_ != nullptr && vcache_->Get(key, h, value)) {
-      return Status::kOk;  // hit is validated against the CURRENT handle
-    }
-    s = vstore_->Read(h, key, value);
-    if (s == Status::kOk) {
-      if (vcache_ != nullptr) {
-        vcache_->Put(key, h, *value);
-      }
-      return s;
-    }
-    if (s != Status::kRetry) {
-      return s;
-    }
-    // Checksum/key mismatch under the guard should be impossible for a
-    // handle read through the index (see above); treat it as a racing
-    // relocation observed through a stale intermediary and re-resolve.
-    ReadStats().retries.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::kRetry;
+  EpochGuard guard;  // spans the handle fetch and ResolveValue's log read
+  uint64_t h = 0;
+  Status s = Lookup(key, &h);
+  return s == Status::kOk ? ResolveValue(key, h, value) : s;
 }
 
 size_t PacTree::ScanValues(const Key& start, size_t count,
                            std::vector<std::pair<Key, std::string>>* out) const {
   out->clear();
   EpochGuard guard;  // handle fetch and resolution share one epoch
-  auto resolve = [&](const Key& k, uint64_t h, std::string* v) -> Status {
-    if (ValueHandleIsInline(h)) {
-      DecodeInlineValue(h, v);
-      return Status::kOk;
-    }
-    if (vstore_ == nullptr) {
-      return Status::kCorrupted;
-    }
-    if (vcache_ != nullptr && vcache_->Get(k, h, v)) {
-      return Status::kOk;
-    }
-    Status s = vstore_->Read(h, k, v);
-    if (s == Status::kOk) {
-      vcache_ != nullptr ? vcache_->Put(k, h, *v) : void();
-      return s;
-    }
-    // Stale handle (scan snapshot raced an overwrite/GC): the per-key path
-    // re-resolves the current handle; kNotFound drops the entry.
-    return s == Status::kRetry ? LookupValue(k, v) : s;
-  };
   std::vector<std::pair<Key, uint64_t>> raw;
   Scan(start, count, &raw);
   out->reserve(raw.size());
   for (const auto& [k, h] : raw) {
     std::string v;
-    if (resolve(k, h, &v) == Status::kOk) {
+    // kNotFound (the key vanished while its record moved) drops the entry.
+    if (ResolveValue(k, h, &v) == Status::kOk) {
       out->emplace_back(k, std::move(v));
     }
   }
@@ -143,48 +93,61 @@ size_t PacTree::ScanValues(const Key& start, size_t count,
 size_t PacTree::MultiGetValues(std::span<const Key> keys,
                                std::vector<std::string>* values,
                                Status* statuses) const {
-  values->assign(keys.size(), std::string());
+  const size_t n = keys.size();
+  values->assign(n, std::string());
   // |statuses| is optional (contract shared with MultiGet and the RangeIndex
-  // default); the resolution loop below keys off per-key status, so a caller
-  // that passes none gets a scratch array.
-  std::vector<Status> scratch;
+  // default); resolution keys off per-key status, so a caller that passes
+  // none gets scratch.
+  ScratchArray<Status> scratch(statuses == nullptr ? n : 0);
   if (statuses == nullptr) {
-    scratch.assign(keys.size(), Status::kNotFound);
     statuses = scratch.data();
   }
-  EpochGuard guard;
-  std::vector<uint64_t> handles(keys.size(), 0);
+  EpochGuard guard;  // spans the handle fetch and every resolution
+  ScratchArray<uint64_t> handles(n);
   MultiGet(keys, handles.data(), statuses);
   size_t found = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (statuses[i] != Status::kOk) {
-      continue;
-    }
-    std::string* v = &(*values)[i];
-    const Key& k = keys[i];
-    uint64_t h = handles[i];
-    Status s;
-    if (ValueHandleIsInline(h)) {
-      DecodeInlineValue(h, v);
-      s = Status::kOk;
-    } else if (vstore_ == nullptr) {
-      s = Status::kCorrupted;
-    } else if (vcache_ != nullptr && vcache_->Get(k, h, v)) {
-      s = Status::kOk;
-    } else {
-      s = vstore_->Read(h, k, v);
-      if (s == Status::kOk && vcache_ != nullptr) {
-        vcache_->Put(k, h, *v);
-      } else if (s == Status::kRetry) {
-        s = LookupValue(k, v);  // batch snapshot raced a relocation
-      }
-    }
-    statuses[i] = s;
-    if (s == Status::kOk) {
-      ++found;
+  for (size_t i = 0; i < n; ++i) {
+    if (statuses[i] == Status::kOk) {
+      statuses[i] = ResolveValue(keys[i], handles[i], &(*values)[i]);
+      found += statuses[i] == Status::kOk ? 1 : 0;
     }
   }
   return found;
+}
+
+Status PacTree::ResolveValue(const Key& key, uint64_t handle,
+                             std::string* out) const {
+  // The caller's guard spans the handle fetch and this read: a record's
+  // segment is epoch-retired, so its bytes cannot be recycled while any
+  // reader that could have observed its handle is still inside the epoch.
+  constexpr int kMaxAttempts = 64;
+  for (int attempt = 1;; ++attempt) {
+    if (ValueHandleIsInline(handle)) {
+      DecodeInlineValue(handle, out);
+      return Status::kOk;
+    }
+    if (vstore_ == nullptr) {
+      return Status::kCorrupted;  // log handle but no log: torn configuration
+    }
+    if (vcache_ != nullptr && vcache_->Get(key, handle, out)) {
+      return Status::kOk;  // hit is validated against the CURRENT handle
+    }
+    Status s = vstore_->Read(handle, key, out);
+    if (s == Status::kOk && vcache_ != nullptr) {
+      vcache_->Put(key, handle, *out);
+    }
+    if (s != Status::kRetry || attempt == kMaxAttempts) {
+      return s;
+    }
+    // Checksum/key mismatch: the handle went stale between its fetch and the
+    // read (an overwrite or GC relocation observed through a batch or scan
+    // snapshot). Re-fetch the key's current handle and resolve that.
+    ReadStats().retries.fetch_add(1, std::memory_order_relaxed);
+    s = Lookup(key, &handle);
+    if (s != Status::kOk) {
+      return s;
+    }
+  }
 }
 
 size_t PacTree::CompactValues() {

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <new>
+#include <functional>
 #include <map>
 #include <span>
 #include <thread>
@@ -15,10 +18,39 @@
 #include "src/common/random.h"
 #include "src/index/range_index.h"
 #include "src/nvm/config.h"
+#include "src/nvm/persist.h"
 #include "src/nvm/stats.h"
 #include "src/nvm/topology.h"
 #include "src/pactree/pactree.h"
 #include "src/sync/epoch.h"
+
+namespace pactree {
+namespace {
+
+// Heap allocations made by the calling thread while armed (see the global
+// operator new below).
+thread_local bool count_allocs = false;
+thread_local uint64_t allocs = 0;
+
+}  // namespace
+}  // namespace pactree
+
+void* operator new(std::size_t n) {
+  if (pactree::count_allocs) {
+    ++pactree::allocs;
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// GCC reads free() inside a replacement operator delete as a new/free
+// mismatch; here it is the matching release of the malloc above.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace pactree {
 namespace {
@@ -222,15 +254,12 @@ TEST_F(MultiGetTest, PipelineStatCounters) {
   EXPECT_LE(groups, 4u);  // 32 consecutive keys over 64-slot nodes
   EXPECT_EQ(s1.epoch_enters - s0.epoch_enters, 1u);  // one guard per batch
   EXPECT_LT(s1.node_locks - s0.node_locks, keys.size());
-  // hop_hist is the widened histogram behind the legacy jump_hops buckets.
-  uint64_t hist = 0, legacy = 0;
+  // Each group's jump walk lands in exactly one hop bucket.
+  uint64_t hops = 0;
   for (int b = 0; b < kHopHistBuckets; ++b) {
-    hist += s1.hop_hist[b];
+    hops += s1.hop_hist[b] - s0.hop_hist[b];
   }
-  for (int b = 0; b < 4; ++b) {
-    legacy += s1.jump_hops[b];
-  }
-  EXPECT_EQ(hist, legacy);
+  EXPECT_EQ(hops, groups);
 }
 
 // Crash-sweep-style check: a quiesced tree is read through MultiGet/MultiScan
@@ -267,6 +296,156 @@ TEST_F(MultiGetTest, ReadPathNeverPersists) {
   EXPECT_EQ(d.flushes, 0u);
   EXPECT_EQ(d.fences, 0u);
   EXPECT_GT(d.media_read_bytes, 0u);
+}
+
+// Per-op read costs of a batch of one on a quiesced tree (sync mode, so no
+// background thread touches the data heap), absorb off and on, both node
+// formats. The modeled read cache is dropped before each op, so every
+// prefetch that reaches the media is counted.
+struct OpCost {
+  uint64_t epoch_enters, node_locks, direct_hops, visited, data_prefetches;
+};
+
+OpCost CostOf(PacTree* tree, const std::function<void()>& op) {
+  DropThreadReadCache();
+  const PacTreeStats s0 = tree->Stats();
+  const NvmStatsSnapshot m0 = tree->data_heap()->MediaStats();
+  op();
+  const PacTreeStats s1 = tree->Stats();
+  const NvmStatsSnapshot m1 = tree->data_heap()->MediaStats();
+  return {s1.epoch_enters - s0.epoch_enters, s1.node_locks - s0.node_locks,
+          s1.hop_hist[0] - s0.hop_hist[0],
+          (s1.perm_hits + s1.perm_builds) - (s0.perm_hits + s0.perm_builds),
+          m1.read_prefetches - m0.read_prefetches};
+}
+
+TEST_F(MultiGetTest, BatchOfOneReadCostsArePinned) {
+  for (bool absorb : {false, true}) {
+    for (NodeFormat format : {NodeFormat::kClassic, NodeFormat::kCompact}) {
+      SCOPED_TRACE(std::string(absorb ? "absorb " : "") +
+                   (format == NodeFormat::kCompact ? "compact" : "classic"));
+      TearDown();
+      opts_.absorb_writes = absorb;
+      opts_.absorb_shards = 2;
+      opts_.async_search_update = false;
+      opts_.node_format = format;
+      Open();
+      constexpr uint64_t kKeys = 5000;
+      for (uint64_t i = 0; i < kKeys; ++i) {
+        ASSERT_EQ(tree_->Insert(Key::FromInt(i), i + 1), Status::kOk);
+      }
+      tree_->DrainAbsorb();
+      tree_->DrainSmoLogs();
+      // Compact nodes prefetch their descriptor line on arrival; classic
+      // nodes issue no prefetch on a point read.
+      const uint64_t own_prefetches = format == NodeFormat::kCompact ? 1 : 0;
+      for (uint64_t k = 7; k < kKeys; k += 331) {
+        uint64_t v = 0;
+        OpCost c = CostOf(tree_.get(), [&] {
+          ASSERT_EQ(tree_->Lookup(Key::FromInt(k), &v), Status::kOk);
+        });
+        EXPECT_EQ(v, k + 1);
+        EXPECT_EQ(c.epoch_enters, 1u) << k;
+        EXPECT_EQ(c.node_locks, 1u) << k;
+        EXPECT_EQ(c.direct_hops, 1u) << k;
+        EXPECT_EQ(c.data_prefetches, own_prefetches) << k;
+      }
+      for (uint64_t k = 11; k < kKeys - 200; k += 577) {
+        std::vector<std::pair<Key, uint64_t>> out;
+        OpCost c = CostOf(tree_.get(),
+                          [&] { tree_->Scan(Key::FromInt(k), 150, &out); });
+        ASSERT_EQ(out.size(), 150u);
+        EXPECT_EQ(out.front().second, k + 1);
+        EXPECT_EQ(out.back().second, k + 150);
+        EXPECT_GE(c.visited, 3u) << k;
+        EXPECT_EQ(c.epoch_enters, 1u) << k;
+        EXPECT_EQ(c.node_locks, c.visited) << k;
+      }
+    }
+  }
+}
+
+// Lookup and Scan are batches of one, and the pipeline's per-key scratch is
+// inline: neither allocates (a Scan only grows its caller's vector), and
+// neither does a MultiGet of up to 16 keys.
+TEST_F(MultiGetTest, BatchOfOneAllocatesNothing) {
+  for (bool absorb : {false, true}) {
+    SCOPED_TRACE(absorb ? "absorb" : "no absorb");
+    TearDown();
+    opts_.absorb_writes = absorb;
+    opts_.absorb_shards = 2;
+    opts_.async_search_update = false;
+    Open();
+    for (uint64_t i = 0; i < 3000; ++i) {
+      ASSERT_EQ(tree_->Insert(Key::FromInt(2 * i), i + 1), Status::kOk);
+    }
+    tree_->DrainAbsorb();
+    tree_->DrainSmoLogs();
+    std::vector<std::pair<Key, uint64_t>> out;
+    out.reserve(200);
+    std::vector<Key> keys;
+    for (uint64_t i = 0; i < 16; ++i) {
+      keys.push_back(Key::FromInt(i * 301));
+    }
+    std::vector<uint64_t> values(keys.size());
+    std::vector<Status> st(keys.size());
+    uint64_t v = 0;
+    tree_->Lookup(Key::FromInt(0), &v);  // first use sets up per-thread state
+    tree_->Scan(Key::FromInt(0), 100, &out);
+    allocs = 0;
+    count_allocs = true;
+    for (uint64_t k = 0; k < 6000; k += 97) {
+      tree_->Lookup(Key::FromInt(k), &v);
+      if (!absorb) {
+        tree_->Scan(Key::FromInt(k), 100, &out);  // absorb: the staged merge allocates
+      }
+    }
+    tree_->MultiGet(std::span<const Key>(keys), values.data(), st.data());
+    count_allocs = false;
+    EXPECT_EQ(allocs, 0u);
+  }
+}
+
+// The sibling walk prefetches the next node only when it will read it: a
+// MultiScan whose ranges all end inside one node touches no other data node,
+// and a zero-count range walks nothing at all.
+TEST_F(MultiGetTest, MultiScanPrefetchesOnlyNodesItReads) {
+  for (NodeFormat format : {NodeFormat::kClassic, NodeFormat::kCompact}) {
+    SCOPED_TRACE(format == NodeFormat::kCompact ? "compact" : "classic");
+    TearDown();
+    opts_.async_search_update = false;
+    opts_.node_format = format;
+    Open();
+    for (uint64_t i = 0; i < 3000; ++i) {
+      ASSERT_EQ(tree_->Insert(Key::FromInt(i), i + 1), Status::kOk);
+    }
+    tree_->DrainSmoLogs();
+    const uint64_t own_prefetches = format == NodeFormat::kCompact ? 1 : 0;
+    std::vector<Key> starts = {Key::FromInt(1003), Key::FromInt(1000)};
+    std::vector<size_t> counts = {2, 3};
+    std::vector<std::vector<std::pair<Key, uint64_t>>> out;
+    OpCost c = CostOf(tree_.get(), [&] {
+      tree_->MultiScan(std::span<const Key>(starts),
+                       std::span<const size_t>(counts), &out);
+    });
+    ASSERT_EQ(c.visited, 1u) << "pick ranges inside one node";
+    ASSERT_EQ(out[0].size(), 2u);
+    ASSERT_EQ(out[1].size(), 3u);
+    EXPECT_EQ(out[0][0].second, 1004u);
+    EXPECT_EQ(out[1][2].second, 1003u);
+    EXPECT_EQ(c.node_locks, 1u);
+    EXPECT_EQ(c.data_prefetches, own_prefetches);
+
+    std::vector<size_t> none = {0, 0};
+    c = CostOf(tree_.get(), [&] {
+      tree_->MultiScan(std::span<const Key>(starts), std::span<const size_t>(none),
+                       &out);
+    });
+    EXPECT_TRUE(out[0].empty() && out[1].empty());
+    EXPECT_EQ(c.epoch_enters, 0u);
+    EXPECT_EQ(c.node_locks, 0u);
+    EXPECT_EQ(c.data_prefetches, 0u);
+  }
 }
 
 // Concurrent writers upsert a volatile key range and force absorb/SMO drains

@@ -133,7 +133,7 @@ TEST_P(PacTreeParamTest, SmoLogRingWrapsSafely) {
     tree_->Lookup(Key::FromInt(i * 151 % kN), nullptr);
   }
   auto s1 = tree_->Stats();
-  EXPECT_EQ(s1.jump_hops[0] - s0.jump_hops[0], 500u);
+  EXPECT_EQ(s1.hop_hist[0] - s0.hop_hist[0], 500u);
 }
 
 INSTANTIATE_TEST_SUITE_P(FeatureMatrix, PacTreeParamTest, ::testing::ValuesIn(kConfigs),
