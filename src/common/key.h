@@ -39,7 +39,19 @@ class Key {
   static Key FromBytes(const void* bytes, size_t len) {
     Key k;
     k.len_ = static_cast<uint32_t>(len < kMaxLen ? len : kMaxLen);
+    // GCC 12 false positive (-Warray-bounds, then -Wstringop-overread) when
+    // inlined from FromString on a short std::string temporary: it pairs the
+    // string's 16-byte in-object buffer with len_'s [0, 32] range, but that
+    // buffer holds the bytes only while size() <= 15, and then len_ == size().
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Warray-bounds"
+#pragma GCC diagnostic ignored "-Wstringop-overread"
+#endif
     std::memcpy(k.data_, bytes, k.len_);
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
     k.Canonicalize();
     return k;
   }

@@ -17,23 +17,44 @@
 // grace period (no reader can still Put an old handle in the range) and
 // before the block is freed for reuse.
 //
-// Sharding: hash(key) picks a shard; each shard is an independent
-// mutex-protected LRU list + hash map with its own byte budget, so reader
-// threads on different shards never contend.
+// A hit must cost less than the log read it saves, so the read side writes no
+// shared state (DESIGN.md §6h):
+//   * Entries are immutable once published: one allocation holds key, handle,
+//     length and bytes. Replacing or evicting one unlinks it from its slot
+//     and parks it on the shard's limbo list; full limbo batches go to the
+//     EpochManager as callback-only retirements, so an entry is freed only
+//     after every reader that could have loaded it has left its epoch.
+//   * Get takes no lock on a hit or a plain miss. It hashes the key to one
+//     8-way bucket, matches a 16-bit tag, then the entry's key and handle,
+//     copies the bytes out and sets the slot's CLOCK reference byte only when
+//     it is clear. Only a probe that meets the key under another handle locks
+//     the shard, to drop that stale entry. Get must run inside the caller's
+//     EpochGuard (ResolveValue holds one).
+//   * Put, Invalidate and eviction take the shard mutex. A CLOCK hand sweeps
+//     the shard's slots, clearing set reference bytes and evicting clear ones,
+//     until the shard's payload bytes fit its budget.
+//   * Hit/miss counts live in per-thread cells; Stats() sums them.
 #ifndef PACTREE_SRC_VALUE_LRU_CACHE_H_
 #define PACTREE_SRC_VALUE_LRU_CACHE_H_
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <list>
+#include <cstring>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
+#include "src/common/checksum.h"
 #include "src/common/key.h"
+#include "src/pmem/pptr.h"
+#include "src/runtime/thread_context.h"
+#include "src/sync/epoch.h"
 
 namespace pactree {
 
@@ -53,85 +74,135 @@ class ValueLruCache {
   ValueLruCache(size_t capacity_bytes, uint32_t shards)
       : shard_capacity_(capacity_bytes / std::max<uint32_t>(shards, 1)),
         shards_(std::max<uint32_t>(shards, 1)),
-        table_(shards_) {}
+        table_(shards_) {
+    if (shard_capacity_ == 0) {
+      return;
+    }
+    // One slot per kPayloadPerSlot budget bytes: the value-tier mix (mostly
+    // 64 B, some 1 KiB) fills about half the slots when the bytes are full.
+    const size_t slots =
+        std::bit_ceil(std::max(kMinSlots, shard_capacity_ / kPayloadPerSlot));
+    for (Shard& sh : table_) {
+      sh.buckets = std::make_unique<Bucket[]>(slots / kWays);
+      sh.meta = std::make_unique<SlotMeta[]>(slots);
+      sh.slots = slots;
+      sh.limbo.reserve(kLimboBatch);
+    }
+  }
+
+  ~ValueLruCache() {
+    for (Shard& sh : table_) {
+      for (size_t i = 0; i < sh.slots; ++i) {
+        FreeEntry(sh.buckets[i / kWays].entry[i % kWays].load(std::memory_order_relaxed));
+      }
+      for (Entry* e : sh.limbo) {
+        FreeEntry(e);
+      }
+    }
+  }
 
   ValueLruCache(const ValueLruCache&) = delete;
   ValueLruCache& operator=(const ValueLruCache&) = delete;
 
-  // Hit iff the key is cached under exactly |handle|; promotes to MRU and
-  // copies the bytes out. A handle mismatch (the index moved on) misses and
-  // drops the stale entry.
+  // Hit iff the key is cached under exactly |handle|; copies the bytes out
+  // and marks the entry referenced. Takes no lock: the caller must hold an
+  // EpochGuard (an entry it loads is freed only after the guard ends). A
+  // handle mismatch (the index moved on) misses and drops the stale entry.
   bool Get(const Key& key, uint64_t handle, std::string* out) {
-    if (shard_capacity_ == 0) {
-      st_misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;
+    StatCell& st = Cell();
+    if (shard_capacity_ != 0) {
+      const uint64_t h = HashOf(key);
+      Shard& sh = table_[h % shards_];
+      const size_t b = BucketOf(h, sh);
+      Bucket& bk = sh.buckets[b];
+      const uint16_t tag = TagOf(h);
+      for (uint32_t w = 0; w < kWays; ++w) {
+        if (bk.tag[w].load(std::memory_order_relaxed) != tag) {
+          continue;
+        }
+        const Entry* e = bk.entry[w].load(std::memory_order_acquire);
+        if (e == nullptr || e->key != key) {
+          continue;
+        }
+        if (e->handle != handle) {
+          DropStale(sh, b, w, e);  // superseded by an overwrite/remove/GC move
+          break;
+        }
+        out->assign(e->bytes(), e->len);
+        if (bk.ref[w].load(std::memory_order_relaxed) == 0) {
+          bk.ref[w].store(1, std::memory_order_relaxed);
+        }
+        st.hits.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
     }
-    Shard& sh = table_[ShardOf(key)];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.map.find(key);
-    if (it == sh.map.end()) {
-      st_misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (it->second->handle != handle) {
-      EraseLocked(sh, it);  // superseded by an overwrite/remove/GC move
-      st_misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    sh.lru.splice(sh.lru.begin(), sh.lru, it->second);  // promote to MRU
-    *out = it->second->bytes;
-    st_hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    st.misses.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
 
-  // Installs (or refreshes) the key's entry under |handle|. Values larger
+  // Installs (or replaces) the key's entry under |handle|. Values larger
   // than a shard's whole budget are not cached.
   void Put(const Key& key, uint64_t handle, std::string_view bytes) {
     if (shard_capacity_ == 0 || bytes.size() > shard_capacity_) {
       return;
     }
-    Shard& sh = table_[ShardOf(key)];
+    Entry* fresh = NewEntry(key, handle, bytes);  // built outside the lock
+    const uint64_t h = HashOf(key);
+    Shard& sh = table_[h % shards_];
+    const size_t b = BucketOf(h, sh);
+    Bucket& bk = sh.buckets[b];
+    const uint16_t tag = TagOf(h);
     std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.map.find(key);
-    if (it != sh.map.end()) {
-      sh.bytes -= it->second->bytes.size();
-      it->second->handle = handle;
-      it->second->bytes.assign(bytes.data(), bytes.size());
-      sh.bytes += bytes.size();
-      sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-    } else {
-      sh.lru.push_front(Entry{key, handle, std::string(bytes)});
-      sh.map[key] = sh.lru.begin();
-      sh.bytes += bytes.size();
+    uint32_t slot = kWays;  // none yet
+    for (uint32_t w = 0; w < kWays; ++w) {
+      const Entry* e = bk.entry[w].load(std::memory_order_relaxed);
+      if (e == nullptr) {
+        slot = std::min(slot, w);
+      } else if (bk.tag[w].load(std::memory_order_relaxed) == tag && e->key == key) {
+        if (e->handle == handle) {  // a racing miss filled it first
+          FreeEntry(fresh);
+          return;
+        }
+        Unlink(sh, b, w, /*evicted=*/false);
+        slot = w;
+        break;
+      }
     }
-    while (sh.bytes > shard_capacity_ && !sh.lru.empty()) {
-      auto victim = std::prev(sh.lru.end());
-      sh.bytes -= victim->bytes.size();
-      sh.map.erase(victim->key);
-      sh.lru.erase(victim);
-      st_evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (slot == kWays) {
+      slot = BucketVictim(bk);
+      Unlink(sh, b, slot, /*evicted=*/true);
     }
+    sh.meta[b * kWays + slot] = {handle, fresh->len};
+    bk.ref[slot].store(0, std::memory_order_relaxed);
+    bk.tag[slot].store(tag, std::memory_order_relaxed);
+    bk.entry[slot].store(fresh, std::memory_order_release);
+    sh.bytes += fresh->len;
+    sh.entries++;
+    while (sh.bytes > shard_capacity_) {
+      AdvanceHand(sh);
+    }
+    MaybeRetireLimbo(sh);
   }
 
   // Drops every entry whose handle lies in [lo, hi). Called from a retired
   // value-log segment's epoch callback (see the header comment); correctness
   // against recycled-block ABA DOES depend on this one, unlike Invalidate.
+  // Scans each shard's slot metadata; entries are never dereferenced.
   void EvictHandleRange(uint64_t lo, uint64_t hi) {
     if (shard_capacity_ == 0) {
       return;
     }
     for (Shard& sh : table_) {
       std::lock_guard<std::mutex> lock(sh.mu);
-      for (auto it = sh.lru.begin(); it != sh.lru.end();) {
-        if (it->handle >= lo && it->handle < hi) {
-          sh.bytes -= it->bytes.size();
-          sh.map.erase(it->key);
-          it = sh.lru.erase(it);
-          st_evictions_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          ++it;
+      for (size_t i = 0; i < sh.slots; ++i) {
+        const uint64_t h = sh.meta[i].handle;
+        if (h >= lo && h < hi &&
+            sh.buckets[i / kWays].entry[i % kWays].load(std::memory_order_relaxed) !=
+                nullptr) {
+          Unlink(sh, i / kWays, i % kWays, /*evicted=*/true);
         }
       }
+      MaybeRetireLimbo(sh);
     }
   }
 
@@ -141,23 +212,33 @@ class ValueLruCache {
     if (shard_capacity_ == 0) {
       return;
     }
-    Shard& sh = table_[ShardOf(key)];
+    const uint64_t h = HashOf(key);
+    Shard& sh = table_[h % shards_];
+    const size_t b = BucketOf(h, sh);
+    Bucket& bk = sh.buckets[b];
     std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.map.find(key);
-    if (it != sh.map.end()) {
-      EraseLocked(sh, it);
+    for (uint32_t w = 0; w < kWays; ++w) {
+      const Entry* e = bk.entry[w].load(std::memory_order_relaxed);
+      if (e != nullptr && bk.tag[w].load(std::memory_order_relaxed) == TagOf(h) &&
+          e->key == key) {
+        Unlink(sh, b, w, /*evicted=*/true);
+        MaybeRetireLimbo(sh);
+        return;
+      }
     }
   }
 
   ValueCacheStats Stats() const {
     ValueCacheStats s;
-    s.hits = st_hits_.load(std::memory_order_relaxed);
-    s.misses = st_misses_.load(std::memory_order_relaxed);
-    s.evictions = st_evictions_.load(std::memory_order_relaxed);
+    for (const StatCell& c : cells_) {
+      s.hits += c.hits.load(std::memory_order_relaxed);
+      s.misses += c.misses.load(std::memory_order_relaxed);
+    }
     for (const auto& sh : table_) {
       std::lock_guard<std::mutex> lock(sh.mu);
+      s.evictions += sh.evictions;
       s.bytes += sh.bytes;
-      s.entries += sh.map.size();
+      s.entries += sh.entries;
     }
     return s;
   }
@@ -165,41 +246,156 @@ class ValueLruCache {
   size_t capacity_bytes() const { return shard_capacity_ * shards_; }
 
  private:
+  static constexpr uint32_t kWays = 8;
+  static constexpr size_t kMinSlots = 64;
+  static constexpr size_t kPayloadPerSlot = 128;
+  // Unlinked entries handed to the epoch manager per retirement: keeps the
+  // shared retire list at a small fraction of the miss rate.
+  static constexpr size_t kLimboBatch = 64;
+  static constexpr size_t kStatCells = 64;
+
+  // Immutable once published; the value bytes follow the header.
   struct Entry {
     Key key;
+    uint32_t len;
     uint64_t handle;
-    std::string bytes;
+    const char* bytes() const { return reinterpret_cast<const char*>(this + 1); }
   };
-  using LruList = std::list<Entry>;
-  using LruMap = std::unordered_map<Key, LruList::iterator>;
-  struct Shard {
-    mutable std::mutex mu;
-    LruList lru;  // front = MRU
-    LruMap map;
-    size_t bytes = 0;
+  static_assert(std::is_trivially_destructible_v<Entry>);
+
+  // One bucket of kWays slots, tags and reference bytes first so a probe
+  // usually reads one line; every probe, locked or not, compares the tag
+  // before dereferencing an entry. Slot handles and lengths live in
+  // Shard::meta.
+  struct alignas(64) Bucket {
+    std::atomic<uint16_t> tag[kWays] = {};
+    std::atomic<uint8_t> ref[kWays] = {};  // CLOCK reference bytes
+    std::atomic<Entry*> entry[kWays] = {};
   };
 
-  void EraseLocked(Shard& sh, LruMap::iterator it) {
-    sh.bytes -= it->second->bytes.size();
-    sh.lru.erase(it->second);
-    sh.map.erase(it);
-    st_evictions_.fetch_add(1, std::memory_order_relaxed);
+  struct SlotMeta {
+    uint64_t handle;
+    uint64_t len;
+  };
+
+  struct Shard {
+    mutable std::mutex mu;  // Put, Invalidate and every unlink
+    std::unique_ptr<Bucket[]> buckets;
+    // Each slot's entry handle and length, so unlinking and EvictHandleRange
+    // never dereference an entry; written and read under mu only.
+    std::unique_ptr<SlotMeta[]> meta;
+    size_t slots = 0;
+    size_t hand = 0;  // CLOCK hand: next slot index to inspect
+    size_t bytes = 0;
+    size_t entries = 0;
+    uint64_t evictions = 0;
+    std::vector<Entry*> limbo;  // unlinked, not yet handed to the epoch manager
+    size_t limbo_bytes = 0;
+  };
+
+  // Single-thread-per-cell in the common case; fetch_add keeps totals exact
+  // when two threads' tids share a cell.
+  struct alignas(64) StatCell {
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
+  };
+
+  static Entry* NewEntry(const Key& key, uint64_t handle, std::string_view bytes) {
+    void* mem = ::operator new(sizeof(Entry) + bytes.size());
+    auto* e = new (mem) Entry{key, static_cast<uint32_t>(bytes.size()), handle};
+    std::memcpy(e + 1, bytes.data(), bytes.size());
+    return e;
+  }
+  static void FreeEntry(Entry* e) { ::operator delete(e); }
+
+  static uint64_t HashOf(const Key& key) { return MixBits64(key.Hash()); }
+  static size_t BucketOf(uint64_t h, const Shard& sh) {
+    return (h >> 8) & (sh.slots / kWays - 1);
+  }
+  static uint16_t TagOf(uint64_t h) { return static_cast<uint16_t>(h >> 48); }
+
+  StatCell& Cell() { return cells_[ThreadContext::Current().tid() % kStatCells]; }
+
+  // First slot whose reference byte is clear, clearing set ones on the way;
+  // when every slot was referenced, slot 0 (now cleared like the rest).
+  static uint32_t BucketVictim(Bucket& bk) {
+    for (uint32_t w = 0; w < kWays; ++w) {
+      if (bk.ref[w].load(std::memory_order_relaxed) == 0) {
+        return w;
+      }
+      bk.ref[w].store(0, std::memory_order_relaxed);
+    }
+    return 0;
   }
 
-  uint32_t ShardOf(const Key& key) const {
-    uint64_t h = key.Hash();
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;  // fold high bytes down (see AbsorbBuffer)
-    h ^= h >> 33;
-    return static_cast<uint32_t>(h % shards_);
+  // One CLOCK step: a referenced slot gets a second chance, an unreferenced
+  // one is evicted. mu held.
+  void AdvanceHand(Shard& sh) {
+    const size_t i = sh.hand;
+    sh.hand = (i + 1) & (sh.slots - 1);
+    Bucket& bk = sh.buckets[i / kWays];
+    const uint32_t w = i % kWays;
+    if (bk.entry[w].load(std::memory_order_relaxed) == nullptr) {
+      return;
+    }
+    if (bk.ref[w].load(std::memory_order_relaxed) != 0) {
+      bk.ref[w].store(0, std::memory_order_relaxed);
+      return;
+    }
+    Unlink(sh, i / kWays, w, /*evicted=*/true);
+  }
+
+  // Empties a slot and parks its entry in limbo (readers may still hold it).
+  // mu held; the slot must be occupied.
+  void Unlink(Shard& sh, size_t b, uint32_t w, bool evicted) {
+    Bucket& bk = sh.buckets[b];
+    SlotMeta& m = sh.meta[b * kWays + w];
+    sh.limbo.push_back(bk.entry[w].load(std::memory_order_relaxed));
+    bk.entry[w].store(nullptr, std::memory_order_relaxed);
+    bk.ref[w].store(0, std::memory_order_relaxed);
+    sh.bytes -= m.len;
+    sh.limbo_bytes += m.len;
+    m = {0, 0};
+    sh.entries--;
+    sh.evictions += evicted ? 1 : 0;
+  }
+
+  // Hands a full limbo batch to the epoch manager: the callback frees the
+  // entries once every reader that could have loaded one has left its epoch.
+  // mu held.
+  void MaybeRetireLimbo(Shard& sh) {
+    if (sh.limbo.size() < kLimboBatch && sh.limbo_bytes < shard_capacity_ / 8) {
+      return;
+    }
+    auto* batch = new std::vector<Entry*>();
+    batch->swap(sh.limbo);
+    sh.limbo.reserve(kLimboBatch);
+    sh.limbo_bytes = 0;
+    EpochManager::Instance().Retire(
+        PPtr<void>(),
+        [](void* arg) {
+          auto* entries = static_cast<std::vector<Entry*>*>(arg);
+          for (Entry* e : *entries) {
+            FreeEntry(e);
+          }
+          delete entries;
+        },
+        batch);
+  }
+
+  // The mismatch path of Get: unlinks |e| if it is still in the slot.
+  void DropStale(Shard& sh, size_t b, uint32_t w, const Entry* e) {
+    std::lock_guard<std::mutex> lock(sh.mu);
+    if (sh.buckets[b].entry[w].load(std::memory_order_relaxed) == e) {
+      Unlink(sh, b, w, /*evicted=*/true);
+      MaybeRetireLimbo(sh);
+    }
   }
 
   const size_t shard_capacity_;
   const uint32_t shards_;
   std::vector<Shard> table_;
-  mutable std::atomic<uint64_t> st_hits_{0};
-  mutable std::atomic<uint64_t> st_misses_{0};
-  mutable std::atomic<uint64_t> st_evictions_{0};
+  StatCell cells_[kStatCells];
 };
 
 }  // namespace pactree

@@ -398,7 +398,7 @@ TEST_P(DataNodeTest, SuffixRoomForReportsSharingAndExhaustion) {
   int slot = 0;
   while (kCompactArenaBytes - node_->arena_cursor >= 32) {
     char buf[33];
-    std::snprintf(buf, sizeof(buf), "long-key-%019d-pad-pad", slot);
+    std::snprintf(buf, sizeof(buf), "long-key-%019d-pad", slot);  // exactly 32 chars
     Key k = Key::FromBytes(buf, 32);
     ASSERT_TRUE(node_->SuffixRoomFor(k));
     node_->FillSlot(slot, k, k.Fingerprint(), 0);

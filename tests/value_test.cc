@@ -1,15 +1,19 @@
 // Tiered value storage tests: inline handle codec, the standalone
 // log-structured ValueStorage (append/read, torn-record rejection, GC
-// relocation against a map sink), the DRAM hot-value cache, and the
+// relocation against a map sink), the DRAM hot-value cache (lock-free hits
+// under churn, allocation-free hits, range eviction, exact counts), and the
 // PacTree-integrated value API (absorb on and off, scans, batched gets,
 // overwrite/remove invalidation, an std::map oracle property test with
 // random inline GC, concurrent readers vs GC for TSan, and reopen recovery).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -23,6 +27,34 @@
 #include "src/value/lru_cache.h"
 #include "src/value/value_handle.h"
 #include "src/value/value_storage.h"
+
+namespace pactree {
+namespace {
+
+// Heap allocations made by the calling thread while armed (see the global
+// operator new below).
+thread_local bool count_allocs = false;
+thread_local uint64_t allocs = 0;
+
+}  // namespace
+}  // namespace pactree
+
+void* operator new(std::size_t n) {
+  if (pactree::count_allocs) {
+    ++pactree::allocs;
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// GCC reads free() inside a replacement operator delete as a new/free
+// mismatch; here it is the matching release of the malloc above.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace pactree {
 namespace {
@@ -348,6 +380,128 @@ TEST(ValueLruCacheTest, ZeroCapacityDisables) {
   EXPECT_EQ(cache.Stats().entries, 0u);
 }
 
+// Handle |v| of key |k| in the cache tests below; 8-aligned like a record
+// address, and distinct per (k, v).
+uint64_t CacheHandle(uint64_t k, uint64_t v) { return ((k << 8) | v) << 3; }
+
+TEST(ValueLruCacheTest, ConcurrentChurnServesExactBytes) {
+  // Four lock-free readers race a writer that Puts, Invalidates, range-evicts
+  // and reclaims on a cache far smaller than the working set. Every hit must
+  // return exactly the bytes stored under the handle it presented: entries
+  // are immutable and freed only after the readers' epochs end (ASan/TSan
+  // see any early free or in-place rewrite).
+  ValueLruCache cache(8 << 10, 2);
+  constexpr uint64_t kKeys = 96, kVersions = 4;
+  auto bytes_of = [](uint64_t h) { return MakeValue(h, 64 + (h >> 3) % 200); };
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> hits{0};
+  RunWorkerThreads(5, [&](uint32_t t) {
+    Rng rng(77 + t);
+    if (t == 0) {
+      for (int op = 0; op < 40000; ++op) {
+        const uint64_t k = rng.Uniform(kKeys);
+        const uint64_t h = CacheHandle(k, rng.Uniform(kVersions));
+        const uint64_t r = rng.Uniform(100);
+        if (r < 85) {
+          cache.Put(Key::FromInt(k), h, bytes_of(h));
+        } else if (r < 95) {
+          cache.Invalidate(Key::FromInt(k));
+        } else {
+          const uint64_t lo = CacheHandle(rng.Uniform(kKeys), 0);
+          cache.EvictHandleRange(lo, lo + CacheHandle(8, 0));
+        }
+        if (op % 64 == 0) {
+          EpochManager::Instance().TryAdvanceAndReclaim();
+        }
+      }
+      stop.store(true, std::memory_order_release);
+      return;
+    }
+    std::string out;
+    uint64_t mine = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      EpochGuard guard;
+      const uint64_t k = rng.Uniform(kKeys);
+      const uint64_t h = CacheHandle(k, rng.Uniform(kVersions));
+      if (cache.Get(Key::FromInt(k), h, &out)) {
+        ASSERT_EQ(out, bytes_of(h)) << "key " << k << " handle " << h;
+        mine++;
+      }
+    }
+    hits.fetch_add(mine);
+  });
+  EpochManager::Instance().DrainAll();
+  EXPECT_GT(hits.load(), 0u);
+  ValueCacheStats s = cache.Stats();
+  EXPECT_LE(s.bytes, 8u << 10);
+  EXPECT_GT(s.evictions, 0u);
+}
+
+TEST(ValueLruCacheTest, HitAllocatesNothing) {
+  // A hit copies into the caller's string: with capacity already there it
+  // allocates nothing (counted by the operator-new hook below).
+  ValueLruCache cache(1 << 20, 8);
+  for (uint64_t k = 0; k < 64; ++k) {
+    cache.Put(Key::FromInt(k), CacheHandle(k, 1), MakeValue(k, 1024));
+  }
+  std::string out;
+  out.reserve(1024);
+  ASSERT_TRUE(cache.Get(Key::FromInt(0), CacheHandle(0, 1), &out));  // per-thread setup
+  allocs = 0;
+  count_allocs = true;
+  uint64_t hits = 0;
+  for (int round = 0; round < 10; ++round) {
+    for (uint64_t k = 0; k < 64; ++k) {
+      hits += cache.Get(Key::FromInt(k), CacheHandle(k, 1), &out) ? 1 : 0;
+    }
+  }
+  count_allocs = false;
+  EXPECT_EQ(hits, 640u);
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(out, MakeValue(63, 1024));
+}
+
+TEST(ValueLruCacheTest, EvictHandleRangeCoversEveryShard) {
+  // 2000 entries over 8 shards; one range holds every even key's handle.
+  // Eviction must drop exactly those, in every shard, and keep the rest.
+  ValueLruCache cache(8 << 20, 8);
+  constexpr uint64_t kKeys = 2000;
+  const uint64_t lo = 1ULL << 40, hi = lo + kKeys * 8;
+  auto handle_of = [&](uint64_t k) { return k % 2 == 0 ? lo + k * 4 : hi + k * 8; };
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    cache.Put(Key::FromInt(k), handle_of(k), MakeValue(k, 64));
+  }
+  ASSERT_EQ(cache.Stats().entries, kKeys);
+  ASSERT_EQ(cache.Stats().evictions, 0u);
+  cache.EvictHandleRange(lo, hi);
+  EXPECT_EQ(cache.Stats().entries, kKeys / 2);
+  EXPECT_EQ(cache.Stats().evictions, kKeys / 2);
+  EXPECT_EQ(cache.Stats().bytes, kKeys / 2 * 64);
+  std::string out;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(cache.Get(Key::FromInt(k), handle_of(k), &out), k % 2 == 1) << k;
+  }
+}
+
+TEST(ValueLruCacheTest, ExactHitMissCountsUnderFourThreads) {
+  ValueLruCache cache(1 << 20, 8);
+  constexpr uint64_t kKeys = 64, kRounds = 5000;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    cache.Put(Key::FromInt(k), CacheHandle(k, 1), MakeValue(k, 64));
+  }
+  RunWorkerThreads(4, [&](uint32_t t) {
+    std::string out;
+    for (uint64_t i = 0; i < kRounds; ++i) {
+      const uint64_t k = (i + t) % kKeys;
+      EXPECT_TRUE(cache.Get(Key::FromInt(k), CacheHandle(k, 1), &out));
+      EXPECT_FALSE(cache.Get(Key::FromInt(kKeys + k), CacheHandle(k, 1), &out));
+    }
+  });
+  ValueCacheStats s = cache.Stats();
+  EXPECT_EQ(s.hits, 4 * kRounds);
+  EXPECT_EQ(s.misses, 4 * kRounds);
+}
+
 // ---------------------------------------------------------------------------
 // PacTree integration
 // ---------------------------------------------------------------------------
@@ -468,6 +622,37 @@ TEST_P(PacTreeValueTest, ScanAndMultiGetValues) {
   std::vector<std::string> values2;
   EXPECT_EQ(tree_->MultiGetValues(keys, &values2, nullptr), keys.size() - 1);
   EXPECT_EQ(values2, values);
+}
+
+TEST_P(PacTreeValueTest, CachedMultiGetValuesIntoReusedVectorAllocatesNothing) {
+  // A batch whose values all hit the hot-value cache, read into a vector
+  // reused from an earlier batch, allocates nothing: the strings keep their
+  // capacity and a hit copies into it.
+  std::vector<Key> keys;
+  for (int i = 0; i < 16; ++i) {
+    keys.push_back(Key::FromInt(i));
+    ASSERT_EQ(tree_->InsertValue(keys.back(), MakeValue(i, 300)), Status::kOk);
+  }
+  tree_->DrainAbsorb();
+  std::vector<std::string> values;
+  std::vector<Status> st(keys.size());
+  ASSERT_EQ(tree_->MultiGetValues(keys, &values, st.data()), 16u);  // fills the cache
+  const uint64_t hits0 = tree_->Stats().value_cache.hits;
+  allocs = 0;
+  count_allocs = true;
+  const size_t found = tree_->MultiGetValues(keys, &values, st.data());
+  count_allocs = false;
+  EXPECT_EQ(found, 16u);
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(tree_->Stats().value_cache.hits - hits0, 16u);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(values[i], MakeValue(i, 300)) << i;
+  }
+  // An absent key's reused string reads back empty.
+  keys[3] = Key::FromInt(1000);
+  EXPECT_EQ(tree_->MultiGetValues(keys, &values, st.data()), 15u);
+  EXPECT_EQ(st[3], Status::kNotFound);
+  EXPECT_TRUE(values[3].empty());
 }
 
 TEST_P(PacTreeValueTest, OracleWithGcAndEvictions) {
