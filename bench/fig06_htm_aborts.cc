@@ -9,29 +9,6 @@
 
 using namespace pactree;
 
-namespace {
-
-// Local adapter so the bench can read the concrete tree's HTM statistics.
-class FpTreeBenchIndex : public RangeIndex {
- public:
-  explicit FpTreeBenchIndex(std::unique_ptr<FpTree> tree) : tree_(std::move(tree)) {}
-  Status Insert(const Key& k, uint64_t v) override { return tree_->Insert(k, v); }
-  Status Lookup(const Key& k, uint64_t* v) const override { return tree_->Lookup(k, v); }
-  Status Remove(const Key& k) override { return tree_->Remove(k); }
-  size_t Scan(const Key& s, size_t n,
-              std::vector<std::pair<Key, uint64_t>>* out) const override {
-    return tree_->Scan(s, n, out);
-  }
-  uint64_t Size() const override { return tree_->Size(); }
-  std::string Name() const override { return "FPTree"; }
-  FpTree* tree() { return tree_.get(); }
-
- private:
-  std::unique_ptr<FpTree> tree_;
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   ParseBenchFlags(argc, argv);
   Banner("Figure 6", "FP-Tree throughput and HTM aborts/op: small vs large data set");
@@ -56,7 +33,6 @@ int main(int argc, char** argv) {
       if (tree == nullptr) {
         return 1;
       }
-      FpTreeBenchIndex index(std::move(tree));
       YcsbSpec spec;
       spec.kind = YcsbKind::kAInsert;
       spec.record_count = keys;
@@ -64,10 +40,10 @@ int main(int argc, char** argv) {
       spec.threads = t;
       spec.string_keys = false;
       spec.zipfian = false;  // the paper uses uniform random keys here
-      YcsbDriver::Load(&index, spec);
-      SoftHtmStats s0 = index.tree()->HtmStats();
-      YcsbResult r = YcsbDriver::Run(&index, spec);
-      SoftHtmStats s1 = index.tree()->HtmStats();
+      YcsbDriver::Load(tree.get(), spec);
+      SoftHtmStats s0 = tree->HtmStats();
+      YcsbResult r = YcsbDriver::Run(tree.get(), spec);
+      SoftHtmStats s1 = tree->HtmStats();
       uint64_t aborts = (s1.conflict_aborts - s0.conflict_aborts) +
                         (s1.capacity_aborts - s0.capacity_aborts) +
                         (s1.spurious_aborts - s0.spurious_aborts);

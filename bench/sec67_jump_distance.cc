@@ -25,30 +25,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Local adapter; runs the write-heavy phase through the YCSB driver.
-  struct Adapter : RangeIndex {
-    PacTree* t;
-    explicit Adapter(PacTree* t) : t(t) {}
-    Status Insert(const Key& k, uint64_t v) override { return t->Insert(k, v); }
-    Status Lookup(const Key& k, uint64_t* v) const override { return t->Lookup(k, v); }
-    Status Remove(const Key& k) override { return t->Remove(k); }
-    size_t Scan(const Key& s, size_t n,
-                std::vector<std::pair<Key, uint64_t>>* out) const override {
-      return t->Scan(s, n, out);
-    }
-    uint64_t Size() const override { return t->Size(); }
-    std::string Name() const override { return "PACTree"; }
-  } adapter(tree.get());
-
   YcsbSpec spec;
   spec.kind = YcsbKind::kAInsert;  // insert-heavy: worst case for SL lag
   spec.record_count = scale.keys;
   spec.op_count = scale.ops;
   spec.threads = threads;
   spec.zipfian = false;
-  YcsbDriver::Load(&adapter, spec);
+  YcsbDriver::Load(tree.get(), spec);
   PacTreeStats s0 = tree->Stats();
-  YcsbDriver::Run(&adapter, spec);
+  YcsbDriver::Run(tree.get(), spec);
   PacTreeStats s1 = tree->Stats();
 
   uint64_t hops[4] = {};  // 0, 1, 2 and >= 3 hops

@@ -218,15 +218,37 @@ size_t AbsorbBuffer::MultiLookup(std::span<const Key> keys, Hit* hits,
   return answered;
 }
 
-void AbsorbBuffer::CollectFrom(const Key& start,
-                               std::map<Key, AbsorbPending>* out) const {
-  for (uint32_t i = 0; i < opts_.shards; ++i) {
-    const Shard& sh = shards_[i];
+size_t AbsorbBuffer::CollectStaged(std::span<const Key> starts,
+                                   std::span<const size_t> counts,
+                                   std::span<const size_t> order,
+                                   StagedOps* out) const {
+  size_t n = 0;
+  for (uint32_t s = 0; s < opts_.shards; ++s) {
+    const Shard& sh = shards_[s];
     std::lock_guard<std::mutex> lock(sh.mu);
-    for (auto it = sh.staging.lower_bound(start); it != sh.staging.end(); ++it) {
-      (*out)[it->first] = AbsorbPending{it->second.value, it->second.tombstone};
+    // The ranges ascend by start, so an op at or below the furthest one
+    // copied from this shard was copied by an earlier range.
+    const Key* last = nullptr;
+    for (size_t r : order) {
+      size_t upserts = 0;
+      for (auto it = sh.staging.lower_bound(starts[r]);
+           it != sh.staging.end() && upserts < counts[r]; ++it) {
+        upserts += it->second.tombstone ? 0 : 1;
+        if (last != nullptr && !(*last < it->first)) {
+          continue;
+        }
+        out->Grow(n + 1, n);
+        (*out)[n++] = AbsorbOp{it->first, it->second.value, it->second.seq,
+                               it->second.tombstone ? kAbsorbOpTombstone
+                                                    : kAbsorbOpUpsert};
+        last = &it->first;
+      }
     }
   }
+  // A key stages in one shard only, so the keys are distinct.
+  std::sort(out->data(), out->data() + n,
+            [](const AbsorbOp& a, const AbsorbOp& b) { return a.key < b.key; });
+  return n;
 }
 
 // ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@
 
 #include "src/common/checksum.h"
 #include "src/common/key.h"
+#include "src/common/scratch_array.h"
 #include "src/common/status.h"
 
 namespace pactree {
@@ -109,6 +110,9 @@ struct AbsorbOp {
   uint32_t type;
 };
 
+// Staged ops copied out for a scan; a scan's few fit inline.
+using StagedOps = ScratchArray<AbsorbOp, 16>;
+
 // The index side of the drain pipeline. Implemented by PacTree.
 class AbsorbSink {
  public:
@@ -145,12 +149,6 @@ struct AbsorbStats {
   uint64_t replayed = 0;        // entries replayed by recovery
   uint64_t pending = 0;         // ops currently staged (all shards)
   uint64_t apply_full = 0;      // drain batches rejected by a full data layer
-};
-
-// What a staged key currently resolves to, for Scan's merge.
-struct AbsorbPending {
-  uint64_t value = 0;
-  bool tombstone = false;
 };
 
 class AbsorbBuffer {
@@ -231,9 +229,24 @@ class AbsorbBuffer {
     return hit;
   }
 
-  // Snapshot of every pending op with key >= |start| across all shards, for
-  // Scan's staging/data-layer merge.
-  void CollectFrom(const Key& start, std::map<Key, AbsorbPending>* out) const;
+  // The scan overlay (PacTree::ScanRanges): copies into |out| the staged ops
+  // a batch of scans can reach, sorted by key, and returns how many. |order|
+  // lists the ranges taking part by ascending start. Per shard and range the
+  // copy starts at the range's start and stops after counts[r] upserts: those
+  // are counts[r] distinct live keys, so no later op of that shard can reach
+  // or mask the range's first counts[r] results. Overlapping ranges share one
+  // copy of each op. Takes each shard's mutex once.
+  size_t CollectStaged(std::span<const Key> starts, std::span<const size_t> counts,
+                       std::span<const size_t> order, StagedOps* out) const;
+  // Every staged op, sorted by key: the same collect with no bound.
+  size_t CollectAll(StagedOps* out) const {
+    const Key from = Key::Min();
+    const size_t all = SIZE_MAX;
+    const size_t only = 0;
+    return CollectStaged(std::span<const Key>(&from, 1),
+                         std::span<const size_t>(&all, 1),
+                         std::span<const size_t>(&only, 1), out);
+  }
 
   // --- drain side ----------------------------------------------------------
   // One drain round over shard |shard|; returns ops applied. A batch the sink

@@ -24,6 +24,7 @@
 
 #include "src/common/key.h"
 #include "src/common/status.h"
+#include "src/index/range_index.h"
 #include "src/pmem/heap.h"
 #include "src/pmwcas/pmwcas.h"
 
@@ -81,27 +82,30 @@ struct BzTreeOptions {
   bool per_numa_pools = true;
 };
 
-class BzTree {
+class BzTree final : public RangeIndex {
  public:
   static std::unique_ptr<BzTree> Open(const BzTreeOptions& opts);
   static void Destroy(const std::string& name);
 
-  ~BzTree() = default;
+  ~BzTree() override = default;
   BzTree(const BzTree&) = delete;
   BzTree& operator=(const BzTree&) = delete;
 
   // Upsert. |value| must keep bits 62-63 clear: every value word is mutated
   // through PMwCAS, which reserves those bits as descriptor/dirty markers.
-  Status Insert(const Key& key, uint64_t value);
-  Status Lookup(const Key& key, uint64_t* value) const;
-  Status Remove(const Key& key);
+  Status Insert(const Key& key, uint64_t value) override;
+  Status Lookup(const Key& key, uint64_t* value) const override;
+  Status Remove(const Key& key) override;
   size_t Scan(const Key& start, size_t count,
-              std::vector<std::pair<Key, uint64_t>>* out) const;
+              std::vector<std::pair<Key, uint64_t>>* out) const override;
 
-  uint64_t Size() const;
+  uint64_t Size() const override;
+  std::string Name() const override { return "BzTree"; }
   uint64_t PmwcasSucceeded() const { return pmwcas_->SucceededCount(); }
   // Backing heap (crash tests shadow its pools and audit its alloc logs).
   PmemHeap* heap() const { return heap_.get(); }
+  std::vector<PmemHeap*> Heaps() const override { return {heap_.get()}; }
+  size_t PendingLogEntries() const override { return heap_->PendingLogEntries(); }
 
  private:
   struct BzRoot;

@@ -22,6 +22,7 @@
 
 #include "src/common/key.h"
 #include "src/common/status.h"
+#include "src/index/range_index.h"
 #include "src/pmem/heap.h"
 #include "src/sync/version_lock.h"
 
@@ -57,25 +58,28 @@ struct FastFairOptions {
   bool per_numa_pools = true;
 };
 
-class FastFair {
+class FastFair final : public RangeIndex {
  public:
   static std::unique_ptr<FastFair> Open(const FastFairOptions& opts);
   static void Destroy(const std::string& name);
 
-  ~FastFair() = default;
+  ~FastFair() override = default;
   FastFair(const FastFair&) = delete;
   FastFair& operator=(const FastFair&) = delete;
 
-  Status Insert(const Key& key, uint64_t value);  // upsert
-  Status Lookup(const Key& key, uint64_t* value) const;
-  Status Remove(const Key& key);
+  Status Insert(const Key& key, uint64_t value) override;  // upsert
+  Status Lookup(const Key& key, uint64_t* value) const override;
+  Status Remove(const Key& key) override;
   size_t Scan(const Key& start, size_t count,
-              std::vector<std::pair<Key, uint64_t>>* out) const;
+              std::vector<std::pair<Key, uint64_t>>* out) const override;
 
-  uint64_t Size() const;
-  bool CheckInvariants(std::string* why) const;
+  uint64_t Size() const override;
+  std::string Name() const override { return "FastFair"; }
+  bool CheckInvariants(std::string* why) const override;
   // Backing heap (crash tests shadow its pools and audit its alloc logs).
   PmemHeap* heap() const { return heap_.get(); }
+  std::vector<PmemHeap*> Heaps() const override { return {heap_.get()}; }
+  size_t PendingLogEntries() const override { return heap_->PendingLogEntries(); }
 
  private:
   struct FfRoot;

@@ -22,6 +22,7 @@
 
 #include "src/common/key.h"
 #include "src/common/status.h"
+#include "src/index/range_index.h"
 #include "src/pmem/heap.h"
 #include "src/sync/soft_htm.h"
 #include "src/sync/version_lock.h"
@@ -67,25 +68,28 @@ struct FpTreeOptions {
   int max_htm_retries = 8;
 };
 
-class FpTree {
+class FpTree final : public RangeIndex {
  public:
   static std::unique_ptr<FpTree> Open(const FpTreeOptions& opts);
   static void Destroy(const std::string& name);
 
-  ~FpTree();
+  ~FpTree() override;
   FpTree(const FpTree&) = delete;
   FpTree& operator=(const FpTree&) = delete;
 
-  Status Insert(const Key& key, uint64_t value);  // upsert
-  Status Lookup(const Key& key, uint64_t* value) const;
-  Status Remove(const Key& key);
+  Status Insert(const Key& key, uint64_t value) override;  // upsert
+  Status Lookup(const Key& key, uint64_t* value) const override;
+  Status Remove(const Key& key) override;
   size_t Scan(const Key& start, size_t count,
-              std::vector<std::pair<Key, uint64_t>>* out) const;
+              std::vector<std::pair<Key, uint64_t>>* out) const override;
 
-  uint64_t Size() const;
+  uint64_t Size() const override;
+  std::string Name() const override { return "FPTree"; }
   SoftHtmStats HtmStats() const { return htm_->Stats(); }
   // Backing heap (crash tests shadow its pools and audit its alloc logs).
   PmemHeap* heap() const { return heap_.get(); }
+  std::vector<PmemHeap*> Heaps() const override { return {heap_.get()}; }
+  size_t PendingLogEntries() const override { return heap_->PendingLogEntries(); }
 
  private:
   struct FpRoot;

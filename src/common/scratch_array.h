@@ -1,10 +1,13 @@
 // Per-call scratch array: up to kInline elements live inline (on the caller's
 // stack), larger sizes spill to one heap block. The read pipeline sizes its
 // per-key scratch with it, so a batch of up to kInline keys -- every Lookup,
-// Scan and absorb presence check among them -- allocates nothing.
+// Scan and absorb presence check among them -- allocates nothing. Grow keeps
+// a collection whose size is only known as it fills (the scan overlay's staged
+// ops) inline until it outgrows kInline.
 #ifndef PACTREE_SRC_COMMON_SCRATCH_ARRAY_H_
 #define PACTREE_SRC_COMMON_SCRATCH_ARRAY_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -23,6 +26,18 @@ class ScratchArray {
   }
   ScratchArray(const ScratchArray&) = delete;
   ScratchArray& operator=(const ScratchArray&) = delete;
+
+  // Makes room for at least |n| elements, keeping the first |used|.
+  void Grow(size_t n, size_t used) {
+    const size_t cap = heap_.empty() ? kInline : heap_.size();
+    if (n <= cap) {
+      return;
+    }
+    std::vector<T> bigger(std::max(n, 2 * cap));
+    std::copy(data_, data_ + used, bigger.begin());
+    heap_.swap(bigger);
+    data_ = heap_.data();
+  }
 
   T* data() { return data_; }
   T& operator[](size_t i) { return data_[i]; }

@@ -1,6 +1,8 @@
 // Uniform interface over every persistent range index in this repository, plus
 // a factory. The benchmark harness (bench/) drives indexes exclusively through
-// this interface, like the paper's index-microbench.
+// this interface, like the paper's index-microbench. PacTree, FastFair, FpTree
+// and BzTree implement it themselves; range_index.cc holds only the factory
+// and the PDL-ART adapter, which owns its heap and its recovery.
 #ifndef PACTREE_SRC_INDEX_RANGE_INDEX_H_
 #define PACTREE_SRC_INDEX_RANGE_INDEX_H_
 
@@ -25,7 +27,8 @@ class RangeIndex {
 
   virtual Status Insert(const Key& key, uint64_t value) = 0;  // upsert
   // Paper §6: "we replace the update operation with insert" for indexes that
-  // lack native update; the default does exactly that.
+  // lack native update; the default does exactly that. PacTree's native
+  // update returns kNotFound for an absent key.
   virtual Status Update(const Key& key, uint64_t value) { return Insert(key, value); }
   virtual Status Lookup(const Key& key, uint64_t* value) const = 0;
   virtual Status Remove(const Key& key) = 0;

@@ -34,7 +34,6 @@
 // Validate fails and the group re-walks.
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <numeric>
 #include <vector>
 
@@ -46,65 +45,7 @@
 
 namespace pactree {
 
-namespace {
-
 using ScanRows = std::vector<std::pair<Key, uint64_t>>;
-
-// Staged tombstones with key >= |start|: each can mask one data-layer key,
-// so a scan over-fetches the data layer by this many.
-size_t StagedTombstonesFrom(const std::map<Key, AbsorbPending>& pending,
-                            const Key& start) {
-  size_t tomb = 0;
-  for (auto it = pending.lower_bound(start); it != pending.end(); ++it) {
-    if (it->second.tombstone) {
-      ++tomb;
-    }
-  }
-  return tomb;
-}
-
-// Merges a data-layer window from |start| with the staged-op overlay (staging
-// wins on equal keys; tombstones mask) into up to |count| results. |base| must
-// have over-fetched to |want| = count + StagedTombstonesFrom(pending, start).
-void MergeStagedScan(const std::map<Key, AbsorbPending>& pending, const Key& start,
-                     const ScanRows& base, size_t count, size_t want,
-                     ScanRows* out) {
-  // When the base scan filled its window there may be further data-layer keys
-  // just past base.back(); a staged-only key beyond that point cannot be
-  // emitted without skipping them.
-  const bool have_limit = base.size() == want && !base.empty();
-  const Key limit = have_limit ? base.back().first : Key();
-
-  out->clear();
-  auto it = pending.lower_bound(start);
-  size_t bi = 0;
-  while (out->size() < count && (it != pending.end() || bi < base.size())) {
-    bool take_pending;
-    if (it == pending.end()) {
-      take_pending = false;
-    } else if (bi >= base.size()) {
-      take_pending = true;
-    } else {
-      take_pending = !(base[bi].first < it->first);
-    }
-    if (take_pending) {
-      if (bi < base.size() && !(it->first < base[bi].first)) {
-        ++bi;  // same key surfaced by the base scan: the staged op supersedes
-      } else if (bi >= base.size() && have_limit && limit < it->first) {
-        break;  // staged-only key beyond the truncated base window
-      }
-      if (!it->second.tombstone) {
-        out->push_back({it->first, it->second.value});
-      }
-      ++it;
-    } else {
-      out->push_back(base[bi]);
-      ++bi;
-    }
-  }
-}
-
-}  // namespace
 
 size_t PacTree::MultiGet(std::span<const Key> keys, uint64_t* values,
                          Status* statuses) const {
@@ -274,12 +215,15 @@ size_t PacTree::GetBase(std::span<const Key> keys, size_t* miss, size_t m,
 //
 // A range joins the walk ("activates") exactly when the walk reaches the node
 // a scan of that range alone would have started at -- its start precedes the
-// right sibling's anchor -- and leaves once it has collected its over-fetched
-// want (count + staged tombstones). When no range is consuming, the walk jumps
-// ahead through the trie instead of dragging across unconsumed siblings; when
-// none is left, it stops without touching the sibling. Validation failure
+// right sibling's anchor -- and leaves once it holds its count. With absorb
+// on, each range merges its staged ops into the node batches it consumes, so
+// absorb-on and absorb-off scans run the same loop. When no range is
+// consuming, the walk jumps ahead through the trie instead of dragging across
+// unconsumed siblings; when none is left, it stops without touching the
+// sibling. Validation failure
 // re-locates from the current node's span start and re-reads; a per-range
-// duplicate guard (strictly-ascending emission) makes re-reads idempotent.
+// guard (nothing at or below what the range already consumed) makes re-reads
+// idempotent.
 void PacTree::MultiScan(std::span<const Key> starts, std::span<const size_t> counts,
                         std::vector<ScanRows>* out) const {
   out->resize(starts.size());
@@ -320,22 +264,24 @@ void PacTree::ScanRanges(std::span<const Key> starts, std::span<const size_t> co
     return a < b;
   });
 
-  // With absorb on, ONE staged-op snapshot, collected from the smallest
-  // start, serves every range. Snapshot before the walk: an op that drains
-  // in between then appears in both streams, and the merge's equal-key dedupe
-  // (staging wins) still emits it once. Each range over-fetches the data
-  // layer by its staged tombstones, so each can mask one key and the merge
-  // still fills the count. With absorb off the walk fills |outs| directly.
-  std::map<Key, AbsorbPending> pending;
-  ScratchArray<ScanRows, 1> staged_base(absorb_ != nullptr ? n : 0);
-  ScanRows* base = outs;
+  // With absorb on, collect the staged ops the batch can reach before the
+  // walk: an op that drains in between then appears in both streams, and the
+  // equal-key merge (staging wins) emits it once. next_op[r] is range r's
+  // first staged op not yet consumed.
+  StagedOps staged(0);
+  size_t n_staged = 0;
   if (absorb_ != nullptr) {
-    absorb_->CollectFrom(starts[order[0]], &pending);
-    base = staged_base.data();
+    n_staged = absorb_->CollectStaged(
+        starts, counts, std::span<const size_t>(order.data(), m), &staged);
   }
-  ScratchArray<size_t> want(n);
+  ScratchArray<size_t> next_op(n);
   for (size_t j = 0; j < m; ++j) {
-    want[order[j]] = counts[order[j]] + StagedTombstonesFrom(pending, starts[order[j]]);
+    const size_t r = order[j];
+    next_op[r] = std::lower_bound(staged.data(), staged.data() + n_staged, starts[r],
+                                  [](const AbsorbOp& op, const Key& k) {
+                                    return op.key < k;
+                                  }) -
+                 staged.data();
   }
 
   ReadStatCell& rs = ReadStats();
@@ -386,24 +332,41 @@ void PacTree::ScanRanges(std::span<const Key> starts, std::span<const size_t> co
 
     // All covering ranges consume the ONE validated batch. It ascends
     // strictly, so each range skips what lies below its start or what it
-    // already took (a re-read after a relocation) and takes the rest in bulk.
+    // already consumed from either stream (a re-read after a relocation),
+    // merges in its staged ops below the node's span end -- staging wins on
+    // equal keys, tombstones skip keys -- and takes the rest in bulk.
     const size_t consumers = n_active;
     for (size_t idx = 0; idx < n_active;) {
       const size_t r = active[idx];
-      ScanRows& rows = base[r];
+      ScanRows& rows = outs[r];
+      size_t& op = next_op[r];
+      auto consumed = [&](const Key& k) {
+        if (rows.empty() ? k < starts[r] : !(rows.back().first < k)) {
+          return true;
+        }
+        return op > 0 && !(staged[op - 1].key < k);
+      };
       size_t i = 0;
-      if (rows.empty()) {
-        while (i < batch_n && batch[i].first < starts[r]) {
-          ++i;
-        }
-      } else {
-        while (i < batch_n && !(rows.back().first < batch[i].first)) {
-          ++i;
-        }
+      while (i < batch_n && consumed(batch[i].first)) {
+        ++i;
       }
-      const size_t take = std::min(batch_n - i, want[r] - rows.size());
+      while (rows.size() < counts[r] && op < n_staged &&
+             (!has_next || staged[op].key < next_anchor)) {
+        if (i < batch_n && batch[i].first < staged[op].key) {
+          rows.push_back(batch[i++]);
+          continue;
+        }
+        if (i < batch_n && !(staged[op].key < batch[i].first)) {
+          ++i;  // the staged op supersedes the data-layer entry
+        }
+        if (staged[op].type == kAbsorbOpUpsert) {
+          rows.push_back({staged[op].key, staged[op].value});
+        }
+        ++op;
+      }
+      const size_t take = std::min(batch_n - i, counts[r] - rows.size());
       rows.insert(rows.end(), batch + i, batch + i + take);
-      if (rows.size() >= want[r]) {
+      if (rows.size() >= counts[r]) {
         active[idx] = active[--n_active];  // done: drop from the walk
       } else {
         ++idx;
@@ -441,12 +404,6 @@ void PacTree::ScanRanges(std::span<const Key> starts, std::span<const size_t> co
   rs.multiscan_shared_nodes.fetch_add(shared_nodes, std::memory_order_relaxed);
   rs.multiscan_walks_saved.fetch_add(walks_saved, std::memory_order_relaxed);
 
-  if (absorb_ != nullptr) {
-    for (size_t j = 0; j < m; ++j) {
-      const size_t r = order[j];
-      MergeStagedScan(pending, starts[r], base[r], counts[r], want[r], &outs[r]);
-    }
-  }
 }
 
 int PacTree::SortedOrderSnapshot(DataNode* node, uint64_t version,

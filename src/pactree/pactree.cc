@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <map>
 
 #include "src/common/compiler.h"
 #include "src/common/env.h"
@@ -862,13 +861,14 @@ uint64_t PacTree::Size() const {
   if (absorb_ != nullptr) {
     // Staged ops not yet drained: an upsert of a key absent from the data
     // layer adds one, a tombstone of a present key removes one.
-    std::map<Key, AbsorbPending> pending;
-    absorb_->CollectFrom(Key::Min(), &pending);
-    for (const auto& [k, p] : pending) {
-      const bool in_base = AbsorbBaseLookup(k, nullptr) == Status::kOk;
-      if (p.tombstone && in_base) {
+    StagedOps staged(0);
+    const size_t n = absorb_->CollectAll(&staged);
+    for (size_t i = 0; i < n; ++i) {
+      const bool tombstone = staged[i].type == kAbsorbOpTombstone;
+      const bool in_base = AbsorbBaseLookup(staged[i].key, nullptr) == Status::kOk;
+      if (tombstone && in_base) {
         --total;
-      } else if (!p.tombstone && !in_base) {
+      } else if (!tombstone && !in_base) {
         ++total;
       }
     }
@@ -990,6 +990,91 @@ PacTreeStats PacTree::Stats() const {
     s.value_cache = vcache_->Stats();
   }
   return s;
+}
+
+std::string PacTree::StatsJson() const {
+  PacTreeStats s = Stats();
+  std::string j = "{";
+  auto field = [&j](const char* k, uint64_t v) {
+    if (j.size() > 1) {
+      j += ",";
+    }
+    j += "\"";
+    j += k;
+    j += "\":";
+    j += std::to_string(v);
+  };
+  field("splits", s.splits);
+  field("merges", s.merges);
+  field("smo_applied", s.smo_applied);
+  field("retries", s.retries);
+  field("epoch_enters", s.epoch_enters);
+  field("node_locks", s.node_locks);
+  field("multiget_batches", s.multiget_batches);
+  field("multiget_keys", s.multiget_keys);
+  field("multiget_node_groups", s.multiget_node_groups);
+  field("multiget_group_retries", s.multiget_group_retries);
+  field("multiscan_batches", s.multiscan_batches);
+  field("multiscan_shared_nodes", s.multiscan_shared_nodes);
+  field("multiscan_walks_saved", s.multiscan_walks_saved);
+  field("perm_hits", s.perm_hits);
+  field("perm_builds", s.perm_builds);
+  field("node_format", s.node_format == NodeFormat::kCompact ? 1 : 0);
+  field("arena_compactions", s.arena_compactions);
+  field("absorb_staged", s.absorb.staged);
+  field("absorb_drained", s.absorb.drained);
+  field("absorb_lookup_hits", s.absorb.lookup_hits);
+  field("absorb_apply_full", s.absorb.apply_full);
+  // Exhaustion / degraded-mode visibility.
+  field("degraded", s.degraded ? 1 : 0);
+  field("write_rejects", s.write_rejects);
+  field("split_alloc_failures", s.split_alloc_failures);
+  field("alloc_failures", s.alloc_failures);
+  if (s.value_enabled) {
+    field("value_log_appends", s.value.appends);
+    field("value_log_bytes", s.value.append_bytes);
+    field("value_read_retries", s.value.read_retries);
+    field("gc_segments_compacted", s.value.gc_segments_compacted);
+    field("gc_bytes_relocated", s.value.gc_bytes_relocated);
+    field("gc_full_aborts", s.value.gc_full_aborts);
+    field("value_segments", s.value.segments);
+    field("value_used_bytes", s.value.used_bytes);
+    field("value_live_bytes", s.value.live_bytes);
+    field("value_cache_hits", s.value_cache.hits);
+    field("value_cache_misses", s.value_cache.misses);
+    field("value_cache_evictions", s.value_cache.evictions);
+    field("value_cache_bytes", s.value_cache.bytes);
+  }
+  field("heap_remote_allocs", search_heap_->RemoteAllocs() +
+                                  data_heap_->RemoteAllocs() +
+                                  log_heap_->RemoteAllocs());
+  j += ",\"used_fraction\":" + std::to_string(s.used_fraction);
+  j += ",\"hop_hist\":[";
+  for (int i = 0; i < kHopHistBuckets; ++i) {
+    if (i > 0) {
+      j += ",";
+    }
+    j += std::to_string(s.hop_hist[i]);
+  }
+  j += "]}";
+  return j;
+}
+
+std::vector<PmemHeap*> PacTree::Heaps() const {
+  std::vector<PmemHeap*> heaps = {search_heap_.get(), data_heap_.get(),
+                                  log_heap_.get()};
+  if (vstore_ != nullptr) {
+    heaps.push_back(vstore_->heap());
+  }
+  return heaps;
+}
+
+size_t PacTree::PendingLogEntries() const {
+  size_t n = 0;
+  for (PmemHeap* h : Heaps()) {
+    n += h->PendingLogEntries();
+  }
+  return n;
 }
 
 }  // namespace pactree

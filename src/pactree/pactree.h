@@ -30,6 +30,7 @@
 #include "src/art/art.h"
 #include "src/common/key.h"
 #include "src/common/status.h"
+#include "src/index/range_index.h"
 #include "src/pactree/data_node.h"
 #include "src/pactree/smo_log.h"
 #include "src/pactree/updater.h"
@@ -172,7 +173,7 @@ struct PacTreeStats {
   ValueCacheStats value_cache;
 };
 
-class PacTree : private AbsorbSink, private ValueGcSink {
+class PacTree final : public RangeIndex, private AbsorbSink, private ValueGcSink {
  public:
   // Opens (or creates) the index. Runs full recovery when attaching to an
   // existing instance. Returns null on failure.
@@ -181,23 +182,23 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // Removes the backing pool files.
   static void Destroy(const std::string& name);
 
-  ~PacTree();
+  ~PacTree() override;
   PacTree(const PacTree&) = delete;
   PacTree& operator=(const PacTree&) = delete;
 
   // Upsert: kOk = fresh insert, kExists = value overwritten.
-  Status Insert(const Key& key, uint64_t value);
+  Status Insert(const Key& key, uint64_t value) override;
   // Update only (kNotFound when absent). The paper's update writes the new
   // value to a fresh slot and flips both bitmap bits in one atomic store.
-  Status Update(const Key& key, uint64_t value);
+  Status Update(const Key& key, uint64_t value) override;
   // Point lookup: a MultiGet batch of one (multiget.cc).
-  Status Lookup(const Key& key, uint64_t* value) const;
-  Status Remove(const Key& key);
+  Status Lookup(const Key& key, uint64_t* value) const override;
+  Status Remove(const Key& key) override;
 
   // Range scan: up to |count| pairs with key >= |start|, ascending. A
   // MultiScan batch of one (multiget.cc).
   size_t Scan(const Key& start, size_t count,
-              std::vector<std::pair<Key, uint64_t>>* out) const;
+              std::vector<std::pair<Key, uint64_t>>* out) const override;
 
   // Batched point lookups (multiget.cc): one absorb pass per involved shard,
   // ONE EpochGuard for the batch, software-pipelined ART floor resolution
@@ -206,13 +207,15 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // are exactly what per-key Lookup would return; duplicate and out-of-order
   // keys are fine. Contract matches RangeIndex::MultiGet.
   size_t MultiGet(std::span<const Key> keys, uint64_t* values,
-                  Status* statuses) const;
+                  Status* statuses) const override;
 
   // Batched range scans: ONE sibling walk in ascending start order under one
   // epoch; every range covering a node consumes that node's one validated
-  // batch. Contract matches RangeIndex::MultiScan.
+  // batch, merged with the staged absorb ops it can reach. Contract matches
+  // RangeIndex::MultiScan.
   void MultiScan(std::span<const Key> starts, std::span<const size_t> counts,
-                 std::vector<std::vector<std::pair<Key, uint64_t>>>* out) const;
+                 std::vector<std::vector<std::pair<Key, uint64_t>>>* out)
+      const override;
 
   // --- tiered value storage (value_ops.cc; see src/value/) -----------------
   // Variable-length value API. With value_storage off these degrade to the
@@ -221,23 +224,24 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // to the value log (durable BEFORE its handle enters the index) and the
   // handle upserted like any u64 value -- through the absorb buffer when that
   // is on, which is how value bytes ride the staged-op pipeline.
-  Status InsertValue(const Key& key, std::string_view value);
+  Status InsertValue(const Key& key, std::string_view value) override;
   // Cache-first resolution: index lookup -> inline decode, or hot-value cache
   // probe keyed by (key, current handle), or log dereference (epoch-guarded,
   // checksum+key validated, re-resolved through the index when a concurrent
   // GC relocation raced the fetch). Misses fill the cache.
-  Status LookupValue(const Key& key, std::string* value) const;
+  Status LookupValue(const Key& key, std::string* value) const override;
   // Value-resolving Scan / MultiGet: handle fetch and resolution share one
   // epoch; entries whose key vanishes mid-resolution are dropped (Scan) or
   // reported kNotFound (MultiGet), exactly as a per-key LookupValue would.
   size_t ScanValues(const Key& start, size_t count,
-                    std::vector<std::pair<Key, std::string>>* out) const;
+                    std::vector<std::pair<Key, std::string>>* out) const override;
   size_t MultiGetValues(std::span<const Key> keys, std::vector<std::string>* values,
-                        Status* statuses) const;
+                        Status* statuses) const override;
   // One inline value-GC round (tests/benches; the "<name>/value/gc-N"
   // services run this in async mode). Returns records relocated + segments
   // retired; 0 with value_storage off.
-  size_t CompactValues();
+  size_t CompactValues() override;
+  bool SupportsLargeValues() const override { return vstore_ != nullptr; }
 
   // Blocks until every logged SMO has been applied to the search layer
   // (CV drain barrier against the updater services; inline replay when they
@@ -248,8 +252,16 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // SMOs, so callers wanting a fully-quiesced tree drain absorb first, then
   // the SMO logs.
   void DrainAbsorb();
+  // Both drains, absorb first: drained batches may log SMOs.
+  void Drain() override {
+    DrainAbsorb();
+    DrainSmoLogs();
+  }
 
   PacTreeStats Stats() const;
+  // Stats() as one JSON object for the bench --json emitter.
+  std::string StatsJson() const override;
+  std::string Name() const override { return "PACTree"; }
 
   // True while the tree is in read-only degraded mode (pool pressure past the
   // hard watermark, or an absorb op-log replay that could not complete).
@@ -270,7 +282,10 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   const std::vector<BackgroundService*>& UpdaterServices() const {
     return updater_->services();
   }
-  // Backing heaps (crash tests shadow their pools).
+  // Backing heaps (crash tests shadow their pools): search, data, log, and
+  // the value heap when the value tier is on.
+  std::vector<PmemHeap*> Heaps() const override;
+  size_t PendingLogEntries() const override;
   PmemHeap* search_heap() const { return search_heap_.get(); }
   PmemHeap* data_heap() const { return data_heap_.get(); }
   PmemHeap* log_heap() const { return log_heap_.get(); }
@@ -279,11 +294,11 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   ValueLruCache* value_cache() const { return vcache_.get(); }
 
   // Total live keys (O(n) data-layer walk; tests/examples only).
-  uint64_t Size() const;
+  uint64_t Size() const override;
 
   // Verifies data-layer invariants (anchors ordered, ranges respected,
   // sibling links consistent). Returns false and fills |why| on violation.
-  bool CheckInvariants(std::string* why) const;
+  bool CheckInvariants(std::string* why) const override;
 
   // True when every SMO ring is empty (head == tail, no live entries) --
   // guaranteed immediately after Open/Recover and after DrainSmoLogs.
@@ -291,6 +306,9 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // True when no absorb op is staged (trivially true with absorb off) --
   // guaranteed immediately after Open/Recover and after DrainAbsorb.
   bool AbsorbDrained() const;
+  bool OperationLogsDrained() const override {
+    return SmoLogsDrained() && AbsorbDrained();
+  }
   // The write-absorption buffer; null when absorb_writes is off.
   AbsorbBuffer* absorb() const { return absorb_.get(); }
 

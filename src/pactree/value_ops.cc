@@ -5,7 +5,6 @@
 // handle, and all interpretation of that word lives in this file.
 #include <cassert>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -282,12 +281,11 @@ void PacTree::RebuildValueLiveCounts() {
     // handles are as live as published ones. Double-counting a key staged
     // over a data-layer entry only delays GC -- the per-record check still
     // sees the staged (current) handle and skips the superseded record.
-    std::map<Key, AbsorbPending> pending;
-    absorb_->CollectFrom(Key::Min(), &pending);
-    for (const auto& [k, p] : pending) {
-      (void)k;
-      if (!p.tombstone && !ValueHandleIsInline(p.value)) {
-        vstore_->AddLiveHandle(p.value);
+    StagedOps staged(0);
+    const size_t n = absorb_->CollectAll(&staged);
+    for (size_t i = 0; i < n; ++i) {
+      if (staged[i].type == kAbsorbOpUpsert && !ValueHandleIsInline(staged[i].value)) {
+        vstore_->AddLiveHandle(staged[i].value);
       }
     }
   }

@@ -54,6 +54,14 @@ void FillValue(const YcsbSpec& spec, uint64_t i, std::string* buf) {
   buf->assign(ValueLenFor(spec, i), static_cast<char>((i * 131 + 7) & 0xff));
 }
 
+// A YCSB update may target a key not yet inserted in a mixed phase; an index
+// whose native update rejects absent keys (PACTree) then inserts it.
+void UpdateOrInsert(RangeIndex* index, const Key& key, uint64_t value) {
+  if (index->Update(key, value) == Status::kNotFound) {
+    index->Insert(key, value);
+  }
+}
+
 }  // namespace
 
 const char* YcsbKindName(YcsbKind kind) {
@@ -235,7 +243,7 @@ YcsbResult YcsbDriver::Run(RangeIndex* index, const YcsbSpec& spec) {
                   FillValue(spec, pick + i, &vbuf);
                   index->InsertValue(keys.At(pick), vbuf);
                 } else {
-                  index->Update(keys.At(pick), i + 1);
+                  UpdateOrInsert(index, keys.At(pick), i + 1);
                 }
               } else {
                 uint64_t fresh = insert_cursor.fetch_add(1, std::memory_order_relaxed);
@@ -273,7 +281,7 @@ YcsbResult YcsbDriver::Run(RangeIndex* index, const YcsbSpec& spec) {
               FillValue(spec, pick + i, &vbuf);
               index->InsertValue(keys.At(pick), vbuf);
             } else {
-              index->Update(keys.At(pick), i + 1);
+              UpdateOrInsert(index, keys.At(pick), i + 1);
             }
           } else if (dice < mix.read_pct + mix.update_pct + mix.insert_pct) {
             uint64_t fresh = insert_cursor.fetch_add(1, std::memory_order_relaxed);

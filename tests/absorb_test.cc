@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -192,10 +193,28 @@ TEST_F(AbsorbSyncTest, ScanMergesStagingAndBase) {
 // The satellite property test: random interleavings of buffered upserts and
 // tombstones against a std::map model, with drains forced at random points
 // between (and, in the async variant below, during) scans.
+// Every check also runs one MultiScan with overlapping, duplicate and
+// zero-count starts. Its counts of 1..60 sit far below the hundreds of ops a
+// shard stages, so the per-shard bound cuts every range's staged slice; the
+// dense runs of ScanStopsEachShardAtItsCountthUpsert make it decide answers.
 TEST_F(AbsorbSyncTest, ScanMergePropertyAgainstModel) {
   Rng rng(20260807);
+  Rng batch_rng(77);  // own stream: the op sequence stays what it was
   std::map<uint64_t, uint64_t> model;
   constexpr uint64_t kDomain = 4000;
+  auto expect_scan = [&model](uint64_t start, size_t count,
+                              const std::vector<std::pair<Key, uint64_t>>& got) {
+    std::vector<std::pair<uint64_t, uint64_t>> want;
+    for (auto it = model.lower_bound(start);
+         it != model.end() && want.size() < count; ++it) {
+      want.emplace_back(it->first, it->second);
+    }
+    ASSERT_EQ(got.size(), want.size()) << "start=" << start;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].first.ToInt(), want[i].first) << "start=" << start;
+      ASSERT_EQ(got[i].second, want[i].second) << "key=" << want[i].first;
+    }
+  };
   for (int step = 0; step < 30000; ++step) {
     uint64_t k = rng.Uniform(kDomain);
     uint32_t what = static_cast<uint32_t>(rng.Uniform(100));
@@ -219,15 +238,25 @@ TEST_F(AbsorbSyncTest, ScanMergePropertyAgainstModel) {
       size_t count = 1 + rng.Uniform(60);
       std::vector<std::pair<Key, uint64_t>> got;
       tree_->Scan(Key::FromInt(start), count, &got);
-      std::vector<std::pair<uint64_t, uint64_t>> want;
-      for (auto it = model.lower_bound(start);
-           it != model.end() && want.size() < count; ++it) {
-        want.emplace_back(it->first, it->second);
+      ASSERT_NO_FATAL_FAILURE(expect_scan(start, count, got));
+
+      const uint64_t near = start + batch_rng.Uniform(40);
+      std::vector<uint64_t> bstarts = {near, start, batch_rng.Uniform(kDomain), start,
+                                       near + batch_rng.Uniform(40), near};
+      std::vector<size_t> bcounts = {1 + batch_rng.Uniform(60), count, 0,
+                                     1 + batch_rng.Uniform(60), 1 + batch_rng.Uniform(60),
+                                     0};
+      std::vector<Key> keys;
+      for (uint64_t b : bstarts) {
+        keys.push_back(Key::FromInt(b));
       }
-      ASSERT_EQ(got.size(), want.size()) << "start=" << start;
-      for (size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(got[i].first.ToInt(), want[i].first) << "start=" << start;
-        ASSERT_EQ(got[i].second, want[i].second) << "key=" << want[i].first;
+      std::vector<std::vector<std::pair<Key, uint64_t>>> outs;
+      tree_->MultiScan(std::span<const Key>(keys), std::span<const size_t>(bcounts),
+                       &outs);
+      ASSERT_EQ(outs.size(), keys.size());
+      for (size_t j = 0; j < keys.size(); ++j) {
+        SCOPED_TRACE(testing::Message() << "batch range " << j);
+        ASSERT_NO_FATAL_FAILURE(expect_scan(bstarts[j], bcounts[j], outs[j]));
       }
     }
   }
@@ -236,6 +265,61 @@ TEST_F(AbsorbSyncTest, ScanMergePropertyAgainstModel) {
   EXPECT_EQ(tree_->Size(), model.size());
   std::string why;
   EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
+}
+
+// A scan copies each shard's staged ops only up to its count-th upsert. Here
+// the staged runs are dense, so that bound decides answers: tombstones mask
+// the first 50 data-layer keys, then staged overwrites and fresh keys follow.
+// Every start across the runs, with counts down to 1, must match the model,
+// as single scans and as one MultiScan.
+TEST_F(AbsorbSyncTest, ScanStopsEachShardAtItsCountthUpsert) {
+  std::map<uint64_t, uint64_t> model;
+  for (uint64_t k = 0; k < 200; k += 2) {
+    ASSERT_EQ(tree_->Insert(Key::FromInt(k), k), Status::kOk);
+    model[k] = k;
+  }
+  tree_->DrainAbsorb();
+  for (uint64_t k = 0; k < 100; k += 2) {
+    ASSERT_EQ(tree_->Remove(Key::FromInt(k)), Status::kOk);
+    model.erase(k);
+  }
+  for (uint64_t k = 100; k < 160; ++k) {
+    tree_->Insert(Key::FromInt(k), 1000 + k);
+    model[k] = 1000 + k;
+  }
+  ASSERT_EQ(tree_->Stats().absorb.pending, 110u) << "every op still staged";
+
+  std::vector<Key> starts;
+  std::vector<size_t> counts;
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> wants;
+  for (uint64_t start = 0; start < 170; start += 3) {
+    for (size_t count : {1, 2, 3, 5, 8, 13, 40}) {
+      std::vector<std::pair<uint64_t, uint64_t>> want;
+      for (auto it = model.lower_bound(start); it != model.end() && want.size() < count;
+           ++it) {
+        want.emplace_back(it->first, it->second);
+      }
+      std::vector<std::pair<Key, uint64_t>> got;
+      tree_->Scan(Key::FromInt(start), count, &got);
+      ASSERT_EQ(got.size(), want.size()) << start << " " << count;
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].first.ToInt(), want[i].first) << start << " " << count;
+        ASSERT_EQ(got[i].second, want[i].second) << start << " " << count;
+      }
+      starts.push_back(Key::FromInt(start));
+      counts.push_back(count);
+      wants.push_back(std::move(want));
+    }
+  }
+  std::vector<std::vector<std::pair<Key, uint64_t>>> outs;
+  tree_->MultiScan(std::span<const Key>(starts), std::span<const size_t>(counts), &outs);
+  for (size_t r = 0; r < starts.size(); ++r) {
+    ASSERT_EQ(outs[r].size(), wants[r].size()) << r;
+    for (size_t i = 0; i < wants[r].size(); ++i) {
+      ASSERT_EQ(outs[r][i].first.ToInt(), wants[r][i].first) << r;
+      ASSERT_EQ(outs[r][i].second, wants[r][i].second) << r;
+    }
+  }
 }
 
 TEST_F(AbsorbSyncTest, RingFullBackpressureDrainsInline) {
